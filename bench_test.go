@@ -159,11 +159,11 @@ func BenchmarkSerialHybrid_LUBM2(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Engine compares the three engines' full
-// materialization cost on the same workload.
+// BenchmarkAblation_Engine compares the engines' full materialization cost
+// on the same workload.
 func BenchmarkAblation_Engine(b *testing.B) {
 	ds := benchLUBM()
-	for _, kind := range []core.EngineKind{core.ForwardEngine, core.ReteEngine, core.HybridEngine} {
+	for _, kind := range []core.EngineKind{core.ForwardEngine, core.HybridEngine} {
 		b.Run(string(kind), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.MaterializeSerial(ds, kind); err != nil {
@@ -222,7 +222,7 @@ func BenchmarkAblation_Delta(b *testing.B) {
 
 	for _, tc := range []struct {
 		name string
-		inc  reason.Incremental
+		inc  reason.Engine
 	}{
 		{"forward-delta", reason.Forward{}},
 		{"frontier-backward-delta", reason.Hybrid{FrontierDelta: true}},
@@ -238,7 +238,9 @@ func BenchmarkAblation_Delta(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				tc.inc.MaterializeFrom(g, compiled.InstanceRules, fresh)
+				if _, err := tc.inc.MaterializeFromCtx(context.Background(), g, compiled.InstanceRules, fresh); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

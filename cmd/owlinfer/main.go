@@ -33,7 +33,7 @@ func main() {
 		workers   = flag.Int("workers", 4, "number of partitions / workers")
 		strategy  = flag.String("strategy", "data", "partitioning strategy: data, rule")
 		policy    = flag.String("policy", "graph", "data partitioning policy: graph, hash, domain")
-		engine    = flag.String("engine", "forward", "rule engine: forward, rete, hybrid, hybrid-shared")
+		engine    = flag.String("engine", "forward", "rule engine: forward, hybrid, hybrid-shared")
 		transport = flag.String("transport", "mem", "transport: mem, file, tcp")
 		marker    = flag.String("domain-marker", "", "locality marker for the domain policy, e.g. 'univ' (matches marker+digits in IRIs and literals)")
 		simulate  = flag.Bool("simulate", false, "sequential execution with reconstructed parallel time (for speedup measurements on few cores)")

@@ -7,6 +7,14 @@
 // worker and none in transit (the transports guarantee delivery before the
 // barrier completes, so "none in transit" is implied).
 //
+// The worker's round loop is the package's one implementation of the
+// algorithm. Three drivers run it: Concurrent (one goroutine per worker and
+// an in-process barrier), Simulated (all workers sequentially on one core)
+// and RunWorker (a single worker whose peers run in other processes — the
+// shared-filesystem deployment of package fscluster). The drivers differ
+// only in the Barrier the workers wait at and the Membership that tells a
+// worker which dead peers it must absorb.
+//
 // Per-worker wall-clock time is split into the categories of the paper's
 // Figure 2: Reason (rule engine), IO (send + receive through the
 // transport), Sync (waiting on the barrier), and — on the master side —
@@ -17,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -35,6 +44,54 @@ import (
 // bodies.
 type Router interface {
 	Destinations(t rdf.Triple, from int) []int
+}
+
+// OwnerRouter implements the data-partitioning routing rule of §IV: a tuple
+// goes to the owner of its subject and the owner of its object. Terms
+// without an owner (schema resources, replicated everywhere) route nowhere.
+type OwnerRouter struct {
+	Owner map[rdf.ID]int
+}
+
+// Destinations implements Router.
+func (r OwnerRouter) Destinations(t rdf.Triple, from int) []int {
+	var out []int
+	if p, ok := r.Owner[t.S]; ok && p != from {
+		out = append(out, p)
+	}
+	if q, ok := r.Owner[t.O]; ok && q != from && (len(out) == 0 || out[0] != q) {
+		out = append(out, q)
+	}
+	return out
+}
+
+// Barrier is where a worker waits after its send phase until every live
+// worker has finished the round's sends (Algorithm 3's barrier). Sync
+// returns the number of tuples sent cluster-wide in the round; a dead peer
+// taken over this round counts as one, so the round cannot read as
+// quiescent before its state has been absorbed. Abort releases the other
+// workers of the run after a fatal error, where the barrier can reach them.
+type Barrier interface {
+	Sync(ctx context.Context, id, round, sent int) (total int, err error)
+	Abort()
+}
+
+// Membership is a worker's view of failures: who is dead and which dead
+// peers it must take over. An adopter absorbs each claimed peer's
+// assignment, checkpoints and inbox at the top of its next round.
+type Membership interface {
+	// Died reports that worker id fail-stopped (an injected crash) at round.
+	Died(id, round int)
+	// Dead reports whether worker id has been declared dead; a dead worker
+	// steps aside, since its partition may be owned elsewhere now.
+	Dead(id int) bool
+	// Claim returns the dead peers worker id must absorb at the top of
+	// round, recording them as taken over: those whose death a barrier
+	// before round carried. A rejoining worker is handed its own id once,
+	// and re-absorbs its own persisted state the same way.
+	Claim(id, round int) []int
+	// Assignment returns worker v's base tuples and rules.
+	Assignment(v int) (Assignment, error)
 }
 
 // Assignment is one worker's slice of the problem.
@@ -98,14 +155,22 @@ type Config struct {
 	Inject []*faultinject.Injector
 	// Provenance enables derivation recording on every worker graph and on
 	// the aggregated result: engines record rule + premises per derived
-	// triple, shipped deltas carry lineage when the transport implements
-	// transport.LineageCarrier, checkpoints carry it when the store
-	// implements LineageCheckpointStore, and the aggregate merge preserves
-	// it — so Explain works on the merged closure and adopted partitions
-	// keep their lineage. Transports/stores without lineage support degrade
-	// to lineage-free exchange for the triples that cross them; the closure
+	// triple, shipped deltas carry lineage when the transport carries it
+	// (transport.LineageOf), checkpoints carry it when the store implements
+	// LineageCheckpointStore, and the aggregate merge preserves it — so
+	// Explain works on the merged closure and adopted partitions keep their
+	// lineage. Over a transport without lineage support the shipped triples
+	// arrive as asserted, and each worker journals that once; the closure
 	// itself is unaffected.
 	Provenance bool
+}
+
+// maxRounds is MaxRounds with its default applied.
+func (cfg Config) maxRounds() int {
+	if cfg.MaxRounds > 0 {
+		return cfg.MaxRounds
+	}
+	return 1000
 }
 
 // injector returns worker i's fault injector; nil (no injection) is a valid
@@ -163,6 +228,14 @@ type RoundStat struct {
 	Sent int
 }
 
+// ErrCrashed is returned by a worker whose fault injector fired its crash
+// trigger: it stops at the top of the round, before doing any of its work.
+var ErrCrashed = errors.New("worker crashed (fault injection)")
+
+// ErrPeerAbort is returned by workers whose barrier was torn down because
+// some other worker failed; that worker's own error is the root cause.
+var ErrPeerAbort = errors.New("cluster: aborted by peer failure")
+
 // Run executes Algorithm 3 over the given assignments. It is
 // RunContext with a background context — uncancellable, as the original
 // fail-stop deployment was.
@@ -183,54 +256,39 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	if cfg.Engine == nil || cfg.Transport == nil || cfg.Router == nil {
 		return nil, fmt.Errorf("cluster: config requires Engine, Transport and Router")
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 1000
-	}
 	cfg.Obs.Emit(obs.Event{Type: obs.EvRunStart, TS: cfg.Obs.Now(),
 		Worker: obs.MasterWorker, Name: cfg.Engine.Name(), N: int64(k)})
 
 	start := time.Now()
 	workers := make([]*worker, k)
 	for i := range workers {
-		g := rdf.NewGraphCap(len(assigns[i].Base))
-		if cfg.Provenance {
-			// Enable before the base load so the side-column is built in
-			// lockstep instead of backfilled; base tuples read as asserted.
-			g.EnableProv()
+		workers[i] = newWorker(cfg, i, assigns[i])
+	}
+	var bar *barrier
+	if cfg.Mode == Concurrent {
+		bar = newBarrier(k)
+	}
+	var coord *coordinator
+	if cfg.Recovery != nil {
+		rc := cfg.Recovery.withDefaults()
+		coord = newCoordinator(k, rc, bar, cfg.Obs, assigns)
+		for _, w := range workers {
+			w.members, w.store = coord, rc.Store
 		}
-		g.AddAll(assigns[i].Base)
-		workers[i] = &worker{
-			id:    i,
-			graph: g,
-			rules: assigns[i].Rules,
-			// Base tuples are known to every worker that should have them
-			// (the partitioner placed them); the shipping watermark starts
-			// past them so they are never re-shipped.
-			shipped: g.Len(),
-		}
-		workers[i].inj = cfg.injector(i)
 	}
 
 	if cfg.Mode == Simulated {
-		return runSimulated(ctx, cfg, workers, assigns, maxRounds)
+		return runSimulated(ctx, cfg, workers, coord)
 	}
 
-	bar := newBarrier(k)
-	var coord *coordinator
-	if cfg.Recovery != nil {
-		coord = newCoordinator(k, cfg.Recovery.withDefaults(), bar, cfg.Obs, assigns)
-		for _, w := range workers {
-			w.coord = coord
-		}
-	}
 	errs := make([]error, k)
 	var wg sync.WaitGroup
 	rounds := 0
 	var roundsMu sync.Mutex
 
 	cancels := make([]context.CancelFunc, k)
-	for i := range workers {
+	for i, w := range workers {
+		w.bar = localBarrier{bar, coord}
 		// Under recovery each worker gets its own cancellable context so
 		// the coordinator can interrupt one declared dead mid-phase without
 		// touching its peers.
@@ -244,7 +302,7 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 		wg.Add(1)
 		go func(w *worker, wctx context.Context) {
 			defer wg.Done()
-			r, err := w.run(wctx, cfg, bar, maxRounds)
+			r, err := w.run(wctx, cfg, 0)
 			if err != nil {
 				errs[w.id] = err
 			}
@@ -253,7 +311,7 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 				rounds = r
 			}
 			roundsMu.Unlock()
-		}(workers[i], wctx)
+		}(w, wctx)
 	}
 	detCancel := func() {}
 	if coord != nil {
@@ -269,10 +327,10 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 		}
 	}
 	if coord != nil {
-		// A stepped-aside worker is not a run failure: its partition was
-		// adopted and the survivors finished the fixpoint.
-		for i, err := range errs {
-			if errors.Is(err, errWorkerDead) {
+		// A dead worker is not a run failure: its partition was adopted and
+		// the survivors finished the fixpoint.
+		for i := range errs {
+			if coord.Dead(i) {
 				errs[i] = nil
 			}
 		}
@@ -289,13 +347,52 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	if coord != nil {
-		res.Recovered = coord.recoveredMap()
-	}
 	res.Rounds = rounds
 	res.Elapsed = time.Since(start)
 	finishRun(cfg.Obs, res, aggAt)
 	return res, nil
+}
+
+// RunWorker is the single-worker driver: it runs worker id's round loop in
+// this process while its peers run elsewhere — the process-per-node
+// deployment of §V, where bar is a shared-directory barrier and m learns of
+// deaths from a supervisor. The worker starts from m.Assignment(id) at round
+// start: 0 on a fresh start, the round after its last completed one on a
+// rejoin (m then hands the worker its own id to re-absorb first).
+// cfg.Recovery.Store must be the checkpoint store all workers of the run
+// share; cfg.Mode and the Recovery timings are not used. It returns the
+// worker's final graph and timings.
+func RunWorker(ctx context.Context, cfg Config, id, start int, bar Barrier, m Membership) (*rdf.Graph, Timings, error) {
+	if cfg.Engine == nil || cfg.Transport == nil || cfg.Router == nil || cfg.Recovery == nil || cfg.Recovery.Store == nil {
+		return nil, Timings{}, fmt.Errorf("cluster: worker config requires Engine, Transport, Router and Recovery.Store")
+	}
+	a, err := m.Assignment(id)
+	if err != nil {
+		return nil, Timings{}, fmt.Errorf("cluster: worker %d assignment: %w", id, err)
+	}
+	w := newWorker(cfg, id, a)
+	w.bar, w.members, w.store = bar, m, cfg.Recovery.Store
+	if _, err := w.run(ctx, cfg, start); err != nil {
+		return nil, w.tm, err
+	}
+	return w.graph, w.tm, nil
+}
+
+// Reconstruct rebuilds worker id's graph from what the run persisted, with
+// the loader adoption and rejoin use: base tuples, checkpointed deltas, the
+// inbox of rounds 0..round through cfg.Transport, and the newest tombstone
+// set in cfg.Recovery.Store. A master merging the outputs of a run calls it
+// for a worker that died when nobody was left to adopt it.
+func Reconstruct(ctx context.Context, cfg Config, id, round int, base []rdf.Triple) (*rdf.Graph, error) {
+	if cfg.Transport == nil || cfg.Recovery == nil || cfg.Recovery.Store == nil {
+		return nil, fmt.Errorf("cluster: reconstruction requires Transport and Recovery.Store")
+	}
+	w := newWorker(cfg, id, Assignment{})
+	w.store = cfg.Recovery.Store
+	if _, err := w.absorb(ctx, cfg, id, round, base); err != nil {
+		return nil, err
+	}
+	return w.graph, nil
 }
 
 // finishRun emits the master-side tail of the journal: the aggregation
@@ -313,8 +410,8 @@ func finishRun(o *obs.Run, res *Result, end int64) {
 }
 
 // emitPhase records one completed phase slice that ended "now" on the real
-// clock (Concurrent mode): the start is reconstructed by subtracting the
-// measured duration. A nil observer discards the event.
+// clock: the start is reconstructed by subtracting the measured duration. A
+// nil observer discards the event.
 func emitPhase(o *obs.Run, worker, round int, phase string, d time.Duration, n int64) {
 	o.Emit(obs.Event{Type: obs.EvPhase, TS: o.Now() - int64(d), Dur: int64(d),
 		Worker: worker, Round: round, Phase: phase, N: n})
@@ -339,25 +436,104 @@ type worker struct {
 	// materialized is set after the first full materialization; later
 	// rounds only need to close over the tuples received since.
 	materialized bool
-	// received holds the tuples absorbed in the previous round's receive
-	// phase — the seeds of the next incremental materialization.
+	// received holds the tuples absorbed since the last reason phase — the
+	// seeds of the next incremental materialization.
 	received []rdf.Triple
-	// coord is the run's recovery coordinator (nil when recovery is off;
-	// its methods are nil-safe).
-	coord *coordinator
+	// bar is the barrier the worker waits at each round.
+	bar Barrier
+	// members and store arm recovery: failure news and the checkpoints of
+	// this worker and its peers. Both are nil when recovery is off.
+	members Membership
+	store   CheckpointStore
 	// inj optionally injects this worker's scheduled faults (crash-at-round).
 	inj *faultinject.Injector
 	// adopted lists the dead peers' partition ids this worker absorbed;
 	// their inboxes are drained alongside its own and sends to them are
 	// short-circuited (the partition lives here now).
 	adopted []int
+	// noLineageWarned records that the once-per-worker warning about a
+	// transport without lineage support has been journaled.
+	noLineageWarned bool
+}
+
+// newWorker builds worker id's initial state from its assignment.
+func newWorker(cfg Config, id int, a Assignment) *worker {
+	g := rdf.NewGraphCap(len(a.Base))
+	if cfg.Provenance {
+		// Enable before the base load so the side-column is built in
+		// lockstep instead of backfilled; base tuples read as asserted.
+		g.EnableProv()
+	}
+	g.AddAll(a.Base)
+	return &worker{
+		id:    id,
+		graph: g,
+		rules: a.Rules,
+		// Base tuples are known to every worker that should have them (the
+		// partitioner placed them); the shipping watermark starts past them
+		// so they are never re-shipped.
+		shipped: g.Len(),
+		reship:  map[rdf.Triple]struct{}{},
+		inj:     cfg.injector(id),
+	}
+}
+
+// lineageCarrier returns the carrier that ships this worker's lineage, or
+// nil when the worker records no provenance. A worker that records it over
+// a transport that cannot carry it degrades every triple it ships or
+// receives to asserted, and journals that once.
+func (w *worker) lineageCarrier(cfg Config, round int) transport.LineageCarrier {
+	if w.graph.Prov() == nil {
+		return nil
+	}
+	lc := transport.LineageOf(cfg.Transport)
+	if lc == nil && !w.noLineageWarned {
+		w.noLineageWarned = true
+		cfg.Obs.Emit(obs.Event{Type: obs.EvWarn, TS: cfg.Obs.Now(), Worker: w.id, Round: round,
+			Name: fmt.Sprintf("transport %s carries no lineage; exchanged triples degrade to asserted tuples", cfg.Transport.Name())})
+	}
+	return lc
+}
+
+// recvLineage indexes by triple the lineage shipped to the given inboxes in
+// round (first record wins). Records are matched by triple value: the
+// triple boxes and the lineage boxes are drained independently, so
+// positional alignment cannot be assumed. Messages whose records went
+// missing degrade to asserted tuples, journaled.
+func (w *worker) recvLineage(ctx context.Context, cfg Config, lc transport.LineageCarrier, round int, inboxes ...int) (map[rdf.Triple]rdf.Lineage, error) {
+	var m map[rdf.Triple]rdf.Lineage
+	for _, to := range inboxes {
+		ls, err := lc.RecvLineage(ctx, round, to)
+		if errors.Is(err, transport.ErrLineageMissing) {
+			cfg.Obs.Emit(obs.Event{Type: obs.EvWarn, TS: cfg.Obs.Now(), Worker: w.id, Round: round, Name: err.Error()})
+		} else if err != nil {
+			return nil, fmt.Errorf("cluster: worker %d recv lineage (inbox %d, round %d): %w", w.id, to, round, err)
+		}
+		for _, l := range ls {
+			if m == nil {
+				m = make(map[rdf.Triple]rdf.Lineage, len(ls))
+			}
+			if _, ok := m[l.T]; !ok {
+				m[l.T] = l
+			}
+		}
+	}
+	return m, nil
+}
+
+// add inserts t, with its lineage record when lins holds one.
+func (w *worker) add(t rdf.Triple, lins map[rdf.Triple]rdf.Lineage) bool {
+	if lin, ok := lins[t]; ok {
+		return w.graph.AddWithLineage(t, lin)
+	}
+	return w.graph.Add(t)
 }
 
 // phaseReason runs the local materialization to fixpoint (Algorithm 3
 // step 3) and returns its duration. The first round materializes fully;
 // subsequent rounds exploit that the graph was at fixpoint before the
-// received tuples arrived: nothing received means nothing to do, and an
-// Incremental engine closes over just the received seeds.
+// received tuples arrived: nothing received means nothing to do, otherwise
+// the engine closes over just the received seeds.
 //
 //powl:ignore wallclock measures the real phase duration that feeds Timings and, in Simulated mode, the reconstructed clock — an input to the cost model, not a timestamp in its output.
 func (w *worker) phaseReason(ctx context.Context, cfg Config) (time.Duration, error) {
@@ -371,16 +547,10 @@ func (w *worker) phaseReason(ctx context.Context, cfg Config) (time.Duration, er
 	var err error
 	switch {
 	case !w.materialized:
-		n, err = reason.MaterializeCtx(ctx, cfg.Engine, w.graph, w.rules)
+		n, err = cfg.Engine.MaterializeCtx(ctx, w.graph, w.rules)
 		w.materialized = true
-	case len(w.received) == 0:
-		// Fixpoint unchanged since last round.
-	default:
-		if inc, ok := cfg.Engine.(reason.Incremental); ok {
-			n, err = reason.MaterializeFromCtx(ctx, inc, w.graph, w.rules, w.received)
-		} else {
-			n, err = reason.MaterializeCtx(ctx, cfg.Engine, w.graph, w.rules)
-		}
+	case len(w.received) > 0:
+		n, err = cfg.Engine.MaterializeFromCtx(ctx, w.graph, w.rules, w.received)
 	}
 	w.tm.Derived += n
 	w.received = w.received[:0]
@@ -401,13 +571,6 @@ func (w *worker) phaseReason(ctx context.Context, cfg Config) (time.Duration, er
 //powl:ignore wallclock measures the real phase duration that feeds Timings and the Simulated reconstruction.
 func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, time.Duration, error) {
 	t0 := time.Now()
-	var adoptedSet map[int]bool
-	if len(w.adopted) > 0 {
-		adoptedSet = make(map[int]bool, len(w.adopted))
-		for _, v := range w.adopted {
-			adoptedSet[v] = true
-		}
-	}
 	var delta []rdf.Triple
 	outbox := map[int][]rdf.Triple{}
 	route := func(t rdf.Triple) {
@@ -415,10 +578,9 @@ func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, tim
 		for _, dst := range cfg.Router.Destinations(t, w.id) {
 			// A destination this worker adopted is this worker: the triple
 			// is already in its graph and marked sent.
-			if adoptedSet[dst] {
-				continue
+			if !slices.Contains(w.adopted, dst) {
+				outbox[dst] = append(outbox[dst], t)
 			}
-			outbox[dst] = append(outbox[dst], t)
 		}
 	}
 	for _, t := range w.graph.TriplesSince(w.shipped) {
@@ -438,23 +600,8 @@ func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, tim
 		}
 		clear(w.reship)
 	}
-	// Checkpoint the delta before any send leaves: if this worker dies
-	// mid-send, its adopter replays the delta and re-routes it (receivers
-	// deduplicate), so a half-finished send phase loses nothing. With
-	// provenance on and a lineage-capable store, the delta's lineage is
-	// checkpointed alongside, so the adopter can replay derivations with
-	// their records intact.
-	if w.coord != nil && len(delta) > 0 {
-		if err := w.coord.store.Save(w.id, round, delta); err != nil {
-			return 0, 0, fmt.Errorf("cluster: worker %d checkpoint: %w", w.id, err)
-		}
-		if ls, ok := w.coord.store.(LineageCheckpointStore); ok && w.graph.Prov() != nil {
-			if err := ls.SaveLineage(w.id, round, lineageOfAll(w.graph, delta)); err != nil {
-				return 0, 0, fmt.Errorf("cluster: worker %d lineage checkpoint: %w", w.id, err)
-			}
-		}
-		cfg.Obs.Emit(obs.Event{Type: obs.EvCheckpoint, TS: cfg.Obs.Now(),
-			Worker: w.id, Round: round, N: int64(len(delta))})
+	if err := w.checkpoint(cfg, round, delta); err != nil {
+		return 0, 0, err
 	}
 	// Send in ascending destination order: map order would make the send
 	// sequence — and therefore which send an injected transport fault hits —
@@ -464,10 +611,7 @@ func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, tim
 		dsts = append(dsts, dst)
 	}
 	sort.Ints(dsts)
-	lc, _ := cfg.Transport.(transport.LineageCarrier)
-	if w.graph.Prov() == nil {
-		lc = nil
-	}
+	lc := w.lineageCarrier(cfg, round)
 	nSent := 0
 	for _, dst := range dsts {
 		ts := outbox[dst]
@@ -487,6 +631,37 @@ func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, tim
 	return nSent, d, nil
 }
 
+// checkpoint persists the round's routing delta before any send leaves: if
+// this worker dies mid-send, its adopter replays the delta and re-routes it
+// (receivers deduplicate), so a half-finished send phase loses nothing. With
+// provenance on and a lineage-capable store, the delta's lineage is
+// checkpointed alongside; a store that keeps tombstones also gets the
+// worker's cumulative deleted set, so deletions survive a crash the way
+// derivations do. A no-op without recovery.
+func (w *worker) checkpoint(cfg Config, round int, delta []rdf.Triple) error {
+	if w.store == nil {
+		return nil
+	}
+	if len(delta) > 0 {
+		if err := w.store.Save(w.id, round, delta); err != nil {
+			return fmt.Errorf("cluster: worker %d checkpoint: %w", w.id, err)
+		}
+		if ls, ok := w.store.(LineageCheckpointStore); ok && w.graph.Prov() != nil {
+			if err := ls.SaveLineage(w.id, round, lineageOfAll(w.graph, delta)); err != nil {
+				return fmt.Errorf("cluster: worker %d lineage checkpoint: %w", w.id, err)
+			}
+		}
+		cfg.Obs.Emit(obs.Event{Type: obs.EvCheckpoint, TS: cfg.Obs.Now(),
+			Worker: w.id, Round: round, N: int64(len(delta))})
+	}
+	if ts, ok := w.store.(TombstoneCheckpointStore); ok && w.graph.Dead() > 0 {
+		if err := ts.SaveTombstones(w.id, round, w.graph.DeadTriples()); err != nil {
+			return fmt.Errorf("cluster: worker %d tombstone checkpoint: %w", w.id, err)
+		}
+	}
+	return nil
+}
+
 // phaseRecv absorbs the tuples other workers sent this round (step 5),
 // including anything addressed to partitions this worker adopted — peers
 // keep routing to the dead worker's id, and its mailbox now drains here.
@@ -499,44 +674,26 @@ func (w *worker) phaseRecv(ctx context.Context, cfg Config, round int) (time.Dur
 		return 0, fmt.Errorf("cluster: worker %d recv: %w", w.id, err)
 	}
 	for _, v := range w.adopted {
-		more, merr := cfg.Transport.Recv(ctx, round, v)
-		if merr != nil {
-			return 0, fmt.Errorf("cluster: worker %d recv (adopted %d): %w", w.id, v, merr)
+		more, err := cfg.Transport.Recv(ctx, round, v)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: worker %d recv (adopted %d): %w", w.id, v, err)
 		}
 		in = append(in, more...)
 	}
-	// Lineage of the received triples, when the transport ships it and this
-	// worker records provenance. Records are matched by triple value: the
-	// triple boxes and the lineage boxes are drained independently, so
-	// positional alignment cannot be assumed.
 	var linMap map[rdf.Triple]rdf.Lineage
-	if lc, ok := cfg.Transport.(transport.LineageCarrier); ok && w.graph.Prov() != nil {
-		ls, lerr := lc.RecvLineage(ctx, round, w.id)
-		if lerr != nil {
-			return 0, fmt.Errorf("cluster: worker %d recv lineage: %w", w.id, lerr)
-		}
-		for _, v := range w.adopted {
-			more, merr := lc.RecvLineage(ctx, round, v)
-			if merr != nil {
-				return 0, fmt.Errorf("cluster: worker %d recv lineage (adopted %d): %w", w.id, v, merr)
-			}
-			ls = append(ls, more...)
-		}
-		if len(ls) > 0 {
-			linMap = make(map[rdf.Triple]rdf.Lineage, len(ls))
-			for _, l := range ls {
-				linMap[l.T] = l
-			}
+	if lc := w.lineageCarrier(cfg, round); lc != nil {
+		if linMap, err = w.recvLineage(ctx, cfg, lc, round, append([]int{w.id}, w.adopted...)...); err != nil {
+			return 0, err
 		}
 	}
 	// Checkpoint received tuples before absorbing them: they may seed
 	// derivations that exist nowhere else once the senders have marked them
 	// shipped, so an adopter of *this* worker must be able to replay them.
-	if w.coord != nil && len(in) > 0 {
-		if err := w.coord.store.Save(w.id, round, in); err != nil {
+	if w.store != nil && len(in) > 0 {
+		if err := w.store.Save(w.id, round, in); err != nil {
 			return 0, fmt.Errorf("cluster: worker %d recv checkpoint: %w", w.id, err)
 		}
-		if ls, ok := w.coord.store.(LineageCheckpointStore); ok && len(linMap) > 0 {
+		if ls, ok := w.store.(LineageCheckpointStore); ok && len(linMap) > 0 {
 			lins := make([]rdf.Lineage, 0, len(linMap))
 			for _, t := range in {
 				if l, ok := linMap[t]; ok {
@@ -549,13 +706,7 @@ func (w *worker) phaseRecv(ctx context.Context, cfg Config, round int) (time.Dur
 		}
 	}
 	for _, t := range in {
-		added := false
-		if lin, ok := linMap[t]; ok {
-			added = w.graph.AddWithLineage(t, lin)
-		} else {
-			added = w.graph.Add(t)
-		}
-		if added {
+		if w.add(t, linMap) {
 			w.received = append(w.received, t)
 		}
 	}
@@ -568,10 +719,6 @@ func (w *worker) phaseRecv(ctx context.Context, cfg Config, round int) (time.Dur
 	w.tm.IO += d
 	return d, nil
 }
-
-// ErrPeerAbort is returned by workers whose barrier was torn down because
-// some other worker failed; that worker's own error is the root cause.
-var ErrPeerAbort = errors.New("cluster: aborted by peer failure")
 
 // firstCause picks the run's root-cause error: the first worker error that is
 // not a mere peer-abort echo, falling back to any error at all.
@@ -600,70 +747,77 @@ func roundCtx(ctx context.Context, cfg Config) (context.Context, context.CancelF
 	return ctx, func() {}
 }
 
-// run is one worker's round loop in Concurrent mode.
+// crash reports whether the worker's injected fail-stop fires at the top of
+// round, and if so journals it and tells the membership (which reassigns the
+// partition). Without recovery the barrier is aborted: the run fails, as it
+// always did.
+func (w *worker) crash(cfg Config, round int, ts int64) error {
+	if !w.inj.Crash(round) {
+		return nil
+	}
+	cfg.Obs.Emit(obs.Event{Type: obs.EvFault, TS: ts, Worker: w.id, Round: round, Name: "crash"})
+	if w.members != nil {
+		w.members.Died(w.id, round)
+	} else if w.bar != nil {
+		w.bar.Abort()
+	}
+	return fmt.Errorf("cluster: worker %d at round %d: %w", w.id, round, ErrCrashed)
+}
+
+// run is the worker's round loop — adopt pending victims, reason, route and
+// checkpoint, send, barrier, receive — from round start until a round in
+// which nobody sent anything. It returns the number of rounds the run took
+// (counted from round 0).
 //
-//powl:ignore wallclock barrier-wait duration is a real measurement (Concurrent mode only; Simulated derives Sync analytically).
-func (w *worker) run(ctx context.Context, cfg Config, bar *barrier, maxRounds int) (int, error) {
-	round := 0
-	for ; round < maxRounds; round++ {
-		// Scheduled fail-stop: the worker dies at the top of the round,
-		// before doing any of its work. With recovery armed it reports its
-		// own death (the detector would find it anyway, just slower) and
-		// steps aside; without, the run aborts as it always did.
-		if w.inj.Crash(round) {
-			cfg.Obs.Emit(obs.Event{Type: obs.EvFault, TS: cfg.Obs.Now(),
-				Worker: w.id, Round: round, Name: "crash"})
-			if w.coord != nil {
-				w.coord.workerDied(w.id, round, "crash")
-				return round, errWorkerDead
-			}
-			bar.abort()
-			return round, fmt.Errorf("cluster: worker %d crashed (injected) at round %d", w.id, round)
+//powl:ignore wallclock barrier-wait duration is a real measurement (Simulated derives Sync analytically).
+func (w *worker) run(ctx context.Context, cfg Config, start int) (int, error) {
+	round := start
+	for ; round < cfg.maxRounds(); round++ {
+		if err := w.crash(cfg, round, cfg.Obs.Now()); err != nil {
+			return round, err
 		}
-		if w.coord.isDead(w.id) {
+		if w.members != nil && w.members.Dead(w.id) {
 			return round, errWorkerDead
 		}
 		rctx, cancel := roundCtx(ctx, cfg)
 		if err := w.adoptPending(rctx, cfg, round); err != nil {
 			cancel()
-			return round, w.stepAsideOr(bar, err)
+			return round, w.stepAsideOr(err)
 		}
 
 		rd, err := w.phaseReason(rctx, cfg)
 		if err != nil {
 			cancel()
-			return round, w.stepAsideOr(bar, err)
+			return round, w.stepAsideOr(err)
 		}
 		emitPhase(cfg.Obs, w.id, round, obs.PhaseReason, rd, 0)
 
 		nSent, sd, err := w.phaseSend(rctx, cfg, round)
 		if err != nil {
 			cancel()
-			return round, w.stepAsideOr(bar, err)
+			return round, w.stepAsideOr(err)
 		}
 		emitPhase(cfg.Obs, w.id, round, obs.PhaseSend, sd, int64(nSent))
 
 		// Barrier with global sent-count reduction. The round deadline
 		// covers the wait: a worker stuck here because a peer died wakes
 		// with DeadlineExceeded instead of hanging forever.
-		w.coord.atBarrier(w.id, round)
 		t0 := time.Now()
-		totalSent, ok, berr := bar.syncCtx(rctx, nSent)
+		totalSent, err := w.bar.Sync(rctx, w.id, round, nSent)
 		syncD := time.Since(t0)
 		w.tm.Sync += syncD
-		if berr != nil {
+		if errors.Is(err, ErrPeerAbort) {
 			cancel()
-			return round, w.stepAsideOr(bar,
-				fmt.Errorf("cluster: worker %d barrier (round %d): %w", w.id, round, berr))
+			return round, err
 		}
-		if !ok {
+		if err != nil {
 			cancel()
-			return round, ErrPeerAbort
+			return round, w.stepAsideOr(fmt.Errorf("cluster: worker %d barrier (round %d): %w", w.id, round, err))
 		}
 		// Declared dead while waiting (a detector false positive, or a
 		// cancellation that lost the race with the release): the partition
 		// has been reassigned, so step aside rather than double-own it.
-		if w.coord.isDead(w.id) {
+		if w.members != nil && w.members.Dead(w.id) {
 			cancel()
 			return round, errWorkerDead
 		}
@@ -672,9 +826,9 @@ func (w *worker) run(ctx context.Context, cfg Config, bar *barrier, maxRounds in
 		vd, err := w.phaseRecv(rctx, cfg, round)
 		cancel()
 		if err != nil {
-			return round, w.stepAsideOr(bar, err)
+			return round, w.stepAsideOr(err)
 		}
-		emitPhase(cfg.Obs, w.id, round, obs.PhaseRecv, vd, 0)
+		emitPhase(cfg.Obs, w.id, round, obs.PhaseRecv, vd, int64(len(w.received)))
 
 		// Termination: a full round in which nobody sent anything.
 		if totalSent == 0 {
@@ -698,36 +852,31 @@ func (w *worker) run(ctx context.Context, cfg Config, bar *barrier, maxRounds in
 // round's slowest worker, and all receives after that — so the exported
 // trace shows the parallel schedule the reconstruction asserts, not the
 // sequential execution that measured it.
-func runSimulated(ctx context.Context, cfg Config, workers []*worker, assigns []Assignment, maxRounds int) (*Result, error) {
-	var coord *coordinator
-	if cfg.Recovery != nil {
-		coord = newCoordinator(len(workers), cfg.Recovery.withDefaults(), nil, cfg.Obs, assigns)
-		for _, w := range workers {
-			w.coord = coord
-		}
-	}
+func runSimulated(ctx context.Context, cfg Config, workers []*worker, coord *coordinator) (*Result, error) {
 	var simElapsed time.Duration
 	var roundStats []RoundStat
 	rounds := 0
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < cfg.maxRounds(); round++ {
 		rounds = round + 1
 		vt := int64(simElapsed)
 		cfg.Obs.Emit(obs.Event{Type: obs.EvRoundStart, TS: vt,
 			Worker: obs.MasterWorker, Round: round})
 		// Scheduled deaths fire at the top of the round, before any work;
-		// with recovery armed the adoption is immediate and deterministic
-		// (there is no real barrier to resize — the phase loops below just
-		// skip dead workers), without it the run aborts as Concurrent would.
+		// with recovery armed the phase loops below skip dead workers and
+		// each death counts as one sent tuple, as barrier.remove deposits,
+		// so the adopter gets the next round to absorb it. Without recovery
+		// the run aborts as Concurrent would.
+		deaths := 0
 		for _, w := range workers {
-			if coord.isDead(w.id) || !w.inj.Crash(round) {
+			if coord.Dead(w.id) {
 				continue
 			}
-			cfg.Obs.Emit(obs.Event{Type: obs.EvFault, TS: vt,
-				Worker: w.id, Round: round, Name: "crash"})
-			if coord == nil {
-				return nil, fmt.Errorf("cluster: worker %d crashed (injected) at round %d", w.id, round)
+			if err := w.crash(cfg, round, vt); err != nil {
+				if coord == nil {
+					return nil, err
+				}
+				deaths++
 			}
-			coord.workerDied(w.id, round, "crash")
 		}
 		if err := coord.runErr(); err != nil {
 			return nil, err
@@ -735,7 +884,7 @@ func runSimulated(ctx context.Context, cfg Config, workers []*worker, assigns []
 		work := make([]time.Duration, len(workers))
 		totalSent := 0
 		for i, w := range workers {
-			if coord.isDead(w.id) {
+			if coord.Dead(w.id) {
 				continue
 			}
 			// Each worker-round gets its own deadline, mirroring what the
@@ -769,7 +918,7 @@ func runSimulated(ctx context.Context, cfg Config, workers []*worker, assigns []
 			}
 		}
 		for i, w := range workers {
-			if coord.isDead(w.id) {
+			if coord.Dead(w.id) {
 				continue
 			}
 			w.tm.Sync += slowest - work[i]
@@ -779,7 +928,7 @@ func runSimulated(ctx context.Context, cfg Config, workers []*worker, assigns []
 		}
 		var slowestRecv time.Duration
 		for _, w := range workers {
-			if coord.isDead(w.id) {
+			if coord.Dead(w.id) {
 				continue
 			}
 			rctx, cancel := roundCtx(ctx, cfg)
@@ -789,7 +938,8 @@ func runSimulated(ctx context.Context, cfg Config, workers []*worker, assigns []
 				return nil, err
 			}
 			cfg.Obs.Emit(obs.Event{Type: obs.EvPhase, TS: vt + int64(slowest),
-				Dur: int64(rd), Worker: w.id, Round: round, Phase: obs.PhaseRecv})
+				Dur: int64(rd), Worker: w.id, Round: round, Phase: obs.PhaseRecv,
+				N: int64(len(w.received))})
 			if rd > slowestRecv {
 				slowestRecv = rd
 			}
@@ -799,7 +949,7 @@ func runSimulated(ctx context.Context, cfg Config, workers []*worker, assigns []
 			Dur: int64(slowest + slowestRecv), Worker: obs.MasterWorker,
 			Round: round, N: int64(totalSent)})
 		roundStats = append(roundStats, RoundStat{MaxWork: slowest, MaxRecv: slowestRecv, Sent: totalSent})
-		if totalSent == 0 {
+		if totalSent+deaths == 0 {
 			break
 		}
 	}
@@ -809,9 +959,6 @@ func runSimulated(ctx context.Context, cfg Config, workers []*worker, assigns []
 	res, err := aggregate(workers, coord, cfg.Provenance)
 	if err != nil {
 		return nil, err
-	}
-	if coord != nil {
-		res.Recovered = coord.recoveredMap()
 	}
 	res.Rounds = rounds
 	res.RoundStats = roundStats
@@ -863,7 +1010,7 @@ func aggregate(workers []*worker, coord *coordinator, prov bool) (*Result, error
 		// A dead worker's graph died with it: its partition was
 		// reconstructed by its adopter, whose graph is unioned instead.
 		// Excluding it here is what makes the recovery tests honest.
-		if coord.isDead(w.id) {
+		if coord.Dead(w.id) {
 			continue
 		}
 		// Zero-copy log walk: the merge only reads, so the shared view is safe.
@@ -894,20 +1041,52 @@ func aggregate(workers []*worker, coord *coordinator, prov bool) (*Result, error
 		}
 	}
 	res.Graph = union
+	if coord != nil {
+		res.Recovered = coord.recoveredMap()
+	}
 	return res, nil
 }
 
-// lineageOfAll collects the lineage of every derived triple among ts (base
-// triples contribute nothing).
+// lineageOfAll collects the lineage records g holds for ts, in ts order;
+// asserted or unrecorded triples contribute nothing. Non-nil even when
+// empty for a graph that records provenance: a sender with provenance on
+// always has a lineage set, so a carrier can tell a batch of asserted
+// tuples from records lost to a crash.
 func lineageOfAll(g *rdf.Graph, ts []rdf.Triple) []rdf.Lineage {
-	var lins []rdf.Lineage
+	if g.Prov() == nil {
+		return nil
+	}
+	out := make([]rdf.Lineage, 0, len(ts))
 	for _, t := range ts {
 		if lin, ok := g.LineageOf(t); ok {
-			lins = append(lins, lin)
+			out = append(out, lin)
 		}
 	}
-	return lins
+	return out
 }
+
+// localBarrier is the in-process Barrier: the shared k-party barrier, plus
+// the failure detector's progress signal when recovery is armed.
+type localBarrier struct {
+	b     *barrier
+	coord *coordinator
+}
+
+// Sync implements Barrier.
+func (l localBarrier) Sync(ctx context.Context, id, round, sent int) (int, error) {
+	l.coord.atBarrier(id, round)
+	total, ok, err := l.b.syncCtx(ctx, sent)
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, ErrPeerAbort
+	}
+	return total, nil
+}
+
+// Abort implements Barrier.
+func (l localBarrier) Abort() { l.b.abort() }
 
 // barrier is a reusable k-party barrier that also sums a per-round integer
 // contribution (the sent counts) and supports cooperative abort.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -61,20 +62,7 @@ func (f *chainFixture) assignments(k int) []Assignment {
 	return out
 }
 
-type ownerRouter struct {
-	owner map[rdf.ID]int
-}
-
-func (r ownerRouter) Destinations(t rdf.Triple, from int) []int {
-	var out []int
-	if p, ok := r.owner[t.S]; ok && p != from {
-		out = append(out, p)
-	}
-	if q, ok := r.owner[t.O]; ok && q != from && (len(out) == 0 || out[0] != q) {
-		out = append(out, q)
-	}
-	return out
-}
+type ownerRouter = OwnerRouter
 
 func runModes(t *testing.T, k int, tr transport.Transport, f *chainFixture, mode Mode) *Result {
 	t.Helper()
@@ -244,18 +232,22 @@ func TestBarrierAbort(t *testing.T) {
 	}
 }
 
-// TestIncrementalRoundsMatchFull: a run whose engine supports incremental
-// re-materialization produces the same closure as one that always
-// re-materializes fully (hybrid vs a wrapper that hides the Incremental
-// interface).
+// TestIncrementalRoundsMatchFull: a run whose engine closes incrementally
+// over each round's received seeds produces the same closure as one that
+// always re-materializes fully (forward vs a wrapper whose incremental
+// close re-materializes the whole graph).
 type fullOnlyEngine struct{ reason.Engine }
+
+func (e fullOnlyEngine) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule, _ []rdf.Triple) (int, error) {
+	return e.MaterializeCtx(ctx, g, rs)
+}
 
 func TestIncrementalRoundsMatchFull(t *testing.T) {
 	f := newChainFixture(t, 14, 4)
 	fast := runModes(t, 4, transport.NewMem(), f, Simulated)
 
 	res, err := Run(Config{
-		Engine:    fullOnlyEngine{reason.Forward{}}, // Incremental hidden
+		Engine:    fullOnlyEngine{reason.Forward{}}, // incremental close hidden
 		Transport: transport.NewMem(),
 		Router:    ownerRouter{f.owner},
 		Mode:      Simulated,

@@ -74,7 +74,8 @@ func TestProvenanceSurvivesCluster(t *testing.T) {
 
 // TestProvenanceWithoutLineageTransport: a transport that cannot carry
 // lineage degrades shipped triples to asserted, but the run still closes
-// and locally derived triples keep their records.
+// and locally derived triples keep their records. The File transport
+// carries lineage, so it is wrapped in a type that hides it.
 func TestProvenanceWithoutLineageTransport(t *testing.T) {
 	f := newChainFixture(t, 10, 2)
 	tr, err := transport.NewFile(t.TempDir(), f.dict)
@@ -84,7 +85,7 @@ func TestProvenanceWithoutLineageTransport(t *testing.T) {
 	defer tr.Close()
 	res, err := Run(Config{
 		Engine:     reason.Forward{},
-		Transport:  tr,
+		Transport:  struct{ transport.Transport }{tr},
 		Router:     ownerRouter{f.owner},
 		Mode:       Concurrent,
 		Provenance: true,

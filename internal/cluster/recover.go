@@ -1,34 +1,37 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"powl/internal/ntriples"
 	"powl/internal/obs"
 	"powl/internal/rdf"
+	"powl/internal/rio"
 	"powl/internal/rules"
 	"powl/internal/transport"
 )
 
-// This file is the transport-generic recovery layer: the fscluster-only
-// design of PR 1 (checkpoints + supervise + adopt), generalized so it works
-// identically over Mem, File and TCP. Workers checkpoint their per-round
-// deltas into a pluggable CheckpointStore; a failure detector watches
-// barrier progress (and transport Health when the transport reports it);
-// and when a worker dies, the lowest-numbered live worker adopts its
-// partition — base tuples, checkpointed deltas, undelivered inbox, rules —
-// and re-derives. Forward inference is deterministic and monotone, so the
-// reconstructed state re-converges to the same closure as the serial
-// fixpoint; receivers deduplicate re-routed triples through Graph.Add.
+// This file is the recovery layer, shared by every driver and transport.
+// Workers checkpoint their per-round deltas into a pluggable
+// CheckpointStore; a Membership source — the in-process coordinator below,
+// or the dead-files a supervisor writes in the shared-filesystem
+// deployment — declares workers dead; and the lowest-numbered live worker
+// adopts a dead worker's partition — base tuples, checkpointed deltas,
+// undelivered inbox, tombstones, rules — and re-derives. A rejoining worker
+// re-absorbs its own partition through the same loader. Forward inference is
+// deterministic and monotone, so the reconstructed state re-converges to the
+// same closure as the serial fixpoint; receivers deduplicate re-routed
+// triples through Graph.Add.
 
 // CheckpointStore persists per-worker deltas so a dead worker's state can
 // be replayed by its adopter. Implementations must be safe for concurrent
@@ -50,6 +53,20 @@ type CheckpointStore interface {
 type LineageCheckpointStore interface {
 	SaveLineage(worker, round int, lins []rdf.Lineage) error
 	LoadLineage(worker int) ([]rdf.Lineage, error)
+}
+
+// TombstoneCheckpointStore is implemented by checkpoint stores that also
+// persist a worker's deleted triples. The set is cumulative (a graph never
+// reuses log offsets), so only the newest one matters: adopters and
+// rejoining workers replay it after the tuple deltas, and the deletions
+// survive a crash the way derivations do.
+type TombstoneCheckpointStore interface {
+	SaveTombstones(worker, round int, dead []rdf.Triple) error
+	// LoadTombstones returns the worker's newest set, nil when it never
+	// saved one. A set older than the worker's newest delta (a crash between
+	// the two writes) comes with an error saying so; an unreadable one is
+	// an error with no set.
+	LoadTombstones(worker int) ([]rdf.Triple, error)
 }
 
 // MemCheckpoints is the in-process CheckpointStore — survives worker
@@ -110,9 +127,11 @@ func (s *MemCheckpoints) LoadLineage(worker int) ([]rdf.Lineage, error) {
 }
 
 // DirCheckpoints is the directory-backed CheckpointStore: each delta is one
-// atomically-renamed N-Triples file, so checkpoints survive process death
-// and can be inspected with any RDF tooling. File names carry worker,
-// round and a store-wide sequence number.
+// N-Triples file written through rio.WriteAtomic, so checkpoints survive
+// process death and can be inspected with any RDF tooling. File names carry
+// worker, round and a store-wide sequence number; lineage and tombstone
+// sidecars sit beside them. Several processes may share the directory as
+// long as each saves only as its own worker.
 type DirCheckpoints struct {
 	dir  string
 	dict *rdf.Dict
@@ -130,60 +149,89 @@ func NewDirCheckpoints(dir string, dict *rdf.Dict) (*DirCheckpoints, error) {
 	return &DirCheckpoints{dir: dir, dict: dict}, nil
 }
 
-// Save implements CheckpointStore: serialize, write to a temp name, rename —
-// a crash mid-write leaves a .tmp file Load ignores, never a torn delta.
+// next names the worker's next delta file of the round, without a suffix.
+func (s *DirCheckpoints) next(worker, round int) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	return filepath.Join(s.dir, fmt.Sprintf("ckpt_w%02d_r%03d_s%04d", worker, round, s.seq))
+}
+
+// writeTriples writes ts as N-Triples to path, atomically.
+func (s *DirCheckpoints) writeTriples(path string, ts []rdf.Triple) error {
+	return rio.WriteAtomic(path, func(w io.Writer) error {
+		nw := ntriples.NewWriter(w, s.dict)
+		if err := nw.WriteAll(ts); err != nil {
+			return err
+		}
+		return nw.Flush()
+	})
+}
+
+// readTriples parses the N-Triples files in paths into one graph.
+func (s *DirCheckpoints) readTriples(paths []string) (*rdf.Graph, error) {
+	g := rdf.NewGraph()
+	for _, f := range paths {
+		fh, err := os.Open(f)
+		if err != nil {
+			return nil, err
+		}
+		_, rerr := ntriples.ReadGraph(fh, s.dict, g)
+		fh.Close()
+		if rerr != nil {
+			return nil, fmt.Errorf("cluster: checkpoint %s: %w", filepath.Base(f), rerr)
+		}
+	}
+	return g, nil
+}
+
+// glob lists the store's files matching pattern, in name order — for the
+// %03d-padded rounds, round order.
+func (s *DirCheckpoints) glob(pattern string, args ...any) ([]string, error) {
+	files, err := filepath.Glob(filepath.Join(s.dir, fmt.Sprintf(pattern, args...)))
+	sort.Strings(files)
+	return files, err
+}
+
+// Save implements CheckpointStore; a crash mid-write leaves a dot-prefixed
+// temp file Load ignores, never a torn delta.
 func (s *DirCheckpoints) Save(worker, round int, delta []rdf.Triple) error {
 	if len(delta) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	s.seq++
-	name := fmt.Sprintf("ckpt_w%02d_r%03d_s%04d.nt", worker, round, s.seq)
-	s.mu.Unlock()
-	var buf bytes.Buffer
-	w := ntriples.NewWriter(&buf, s.dict)
-	if err := w.WriteAll(delta); err != nil {
-		return err
+	return s.writeTriples(s.next(worker, round)+".nt", delta)
+}
+
+// Load implements CheckpointStore, deduplicating across deltas.
+func (s *DirCheckpoints) Load(worker int) ([]rdf.Triple, error) {
+	files, err := s.glob("ckpt_w%02d_r*.nt", worker)
+	if err != nil {
+		return nil, err
 	}
-	if err := w.Flush(); err != nil {
-		return err
+	g, err := s.readTriples(files)
+	if err != nil {
+		return nil, err
 	}
-	tmp := filepath.Join(s.dir, name+".tmp")
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(s.dir, name))
+	return g.Triples(), nil
 }
 
 // SaveLineage implements LineageCheckpointStore: one JSONL sidecar per
-// delta (ntriples lineage codec), atomically renamed like the triple
-// checkpoints.
+// delta (ntriples lineage codec), written like the triple checkpoints.
 func (s *DirCheckpoints) SaveLineage(worker, round int, lins []rdf.Lineage) error {
 	if len(lins) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	s.seq++
-	name := fmt.Sprintf("lin_w%02d_r%03d_s%04d.jsonl", worker, round, s.seq)
-	s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := ntriples.WriteLineage(&buf, s.dict, lins); err != nil {
-		return err
-	}
-	tmp := filepath.Join(s.dir, name+".tmp")
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(s.dir, name))
+	return rio.WriteAtomic(s.next(worker, round)+".lin.jsonl", func(w io.Writer) error {
+		return ntriples.WriteLineage(w, s.dict, lins)
+	})
 }
 
 // LoadLineage implements LineageCheckpointStore.
 func (s *DirCheckpoints) LoadLineage(worker int) ([]rdf.Lineage, error) {
-	files, err := filepath.Glob(filepath.Join(s.dir, fmt.Sprintf("lin_w%02d_r*.jsonl", worker)))
+	files, err := s.glob("ckpt_w%02d_r*.lin.jsonl", worker)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(files)
 	var out []rdf.Lineage
 	for _, f := range files {
 		fh, err := os.Open(f)
@@ -200,26 +248,41 @@ func (s *DirCheckpoints) LoadLineage(worker int) ([]rdf.Lineage, error) {
 	return out, nil
 }
 
-// Load implements CheckpointStore, deduplicating across deltas.
-func (s *DirCheckpoints) Load(worker int) ([]rdf.Triple, error) {
-	files, err := filepath.Glob(filepath.Join(s.dir, fmt.Sprintf("ckpt_w%02d_r*.nt", worker)))
-	if err != nil {
+// SaveTombstones implements TombstoneCheckpointStore: the set as plain
+// N-Triples in tomb_wNN_rNNN.nt.
+func (s *DirCheckpoints) SaveTombstones(worker, round int, dead []rdf.Triple) error {
+	return s.writeTriples(filepath.Join(s.dir, fmt.Sprintf("tomb_w%02d_r%03d.nt", worker, round)), dead)
+}
+
+// LoadTombstones implements TombstoneCheckpointStore.
+func (s *DirCheckpoints) LoadTombstones(worker int) ([]rdf.Triple, error) {
+	tombs, err := s.glob("tomb_w%02d_r*.nt", worker)
+	if err != nil || len(tombs) == 0 {
 		return nil, err
 	}
-	sort.Strings(files)
-	g := rdf.NewGraph()
-	for _, f := range files {
-		fh, err := os.Open(f)
-		if err != nil {
-			return nil, err
-		}
-		_, rerr := ntriples.ReadGraph(fh, s.dict, g)
-		fh.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("cluster: checkpoint %s: %w", filepath.Base(f), rerr)
+	newest := tombs[len(tombs)-1]
+	g, err := s.readTriples([]string{newest})
+	if err != nil {
+		return nil, fmt.Errorf("worker %d tombstone sidecar %s unreadable: %v", worker, filepath.Base(newest), err)
+	}
+	ckpts, err := s.glob("ckpt_w%02d_r*.nt", worker)
+	if err == nil && len(ckpts) > 0 {
+		if cr, tr := fileRound(ckpts[len(ckpts)-1]), fileRound(newest); cr > tr {
+			err = fmt.Errorf("worker %d tombstone sidecar missing for round %d; replaying deletions as of round %d", worker, cr, tr)
 		}
 	}
-	return g.Triples(), nil
+	return g.Triples(), err
+}
+
+// fileRound parses the round out of a ckpt_ or tomb_ file name, -1 when it
+// carries none.
+func fileRound(path string) int {
+	var w, r int
+	base := filepath.Base(path)
+	if _, err := fmt.Sscanf(base[strings.IndexByte(base, '_')+1:], "w%02d_r%03d", &w, &r); err != nil {
+		return -1
+	}
+	return r
 }
 
 // RecoveryConfig arms transport-generic worker recovery on a Config.
@@ -250,18 +313,16 @@ func (rc RecoveryConfig) withDefaults() RecoveryConfig {
 }
 
 // errWorkerDead is the internal sentinel a worker returns when it steps
-// aside — it crashed (injected) or was declared dead and its partition
-// reassigned. The run continues without it; RunContext filters the
-// sentinel out of the error set.
+// aside — it was declared dead and its partition reassigned. The run
+// continues without it; RunContext drops dead workers' errors.
 var errWorkerDead = errors.New("cluster: worker stepped aside (dead)")
 
-// coordinator is the shared recovery state of one run: membership, barrier
+// coordinator is the in-process Membership of one run: liveness, barrier
 // progress, adoption assignments. In Concurrent mode it backs the failure
 // detector and resizes the barrier; in Simulated mode (bar == nil) deaths
 // are replayed deterministically at round tops and the round loop simply
 // skips dead workers.
 type coordinator struct {
-	store   CheckpointStore
 	rc      RecoveryConfig
 	bar     *barrier // nil in Simulated mode
 	obs     *obs.Run
@@ -275,6 +336,7 @@ type coordinator struct {
 	frontier   int   // max over live workers of arrived[i]
 	frontierAt time.Time
 	pending    map[int][]int // adopter -> victims awaiting absorption
+	due        map[int]int   // victim -> round of the death that assigned it
 	owned      map[int][]int // worker -> partitions it absorbed (transitive)
 	recovered  map[int]int   // victim -> final adopter
 	err        error
@@ -283,7 +345,7 @@ type coordinator struct {
 //powl:ignore wallclock the failure detector compares real arrival times against real deadlines by design — detection latency is an operational property, not run output.
 func newCoordinator(k int, rc RecoveryConfig, bar *barrier, o *obs.Run, assigns []Assignment) *coordinator {
 	c := &coordinator{
-		store: rc.Store, rc: rc, bar: bar, obs: o, assigns: assigns,
+		rc: rc, bar: bar, obs: o, assigns: assigns,
 		live:       make([]bool, k),
 		nLive:      k,
 		cancels:    make([]context.CancelFunc, k),
@@ -291,6 +353,7 @@ func newCoordinator(k int, rc RecoveryConfig, bar *barrier, o *obs.Run, assigns 
 		frontier:   -1,
 		frontierAt: time.Now(),
 		pending:    map[int][]int{},
+		due:        map[int]int{},
 		owned:      map[int][]int{},
 		recovered:  map[int]int{},
 	}
@@ -301,9 +364,9 @@ func newCoordinator(k int, rc RecoveryConfig, bar *barrier, o *obs.Run, assigns 
 	return c
 }
 
-// isDead reports whether the worker has been declared dead. Nil-safe: with
-// no coordinator nobody is ever dead.
-func (c *coordinator) isDead(id int) bool {
+// Dead implements Membership. Nil-safe: with no coordinator nobody is ever
+// dead.
+func (c *coordinator) Dead(id int) bool {
 	if c == nil {
 		return false
 	}
@@ -331,13 +394,16 @@ func (c *coordinator) atBarrier(id, round int) {
 	}
 }
 
-// workerDied declares a worker dead (self-reported crash or detector
-// verdict) and reassigns everything it was responsible for.
-func (c *coordinator) workerDied(victim, round int, cause string) {
+// Died implements Membership: a self-reported crash is declared at once
+// (the detector would find it anyway, just slower).
+func (c *coordinator) Died(id, round int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.declareDeadLocked(victim, round, cause)
+	c.declareDeadLocked(id, round, "crash")
 }
+
+// Assignment implements Membership.
+func (c *coordinator) Assignment(v int) (Assignment, error) { return c.assigns[v], nil }
 
 func (c *coordinator) declareDeadLocked(victim, round int, cause string) {
 	if !c.live[victim] {
@@ -379,6 +445,7 @@ func (c *coordinator) declareDeadLocked(victim, round int, cause string) {
 			c.pending[adopter] = append(c.pending[adopter], v)
 		}
 		c.recovered[v] = adopter
+		c.due[v] = round
 	}
 	if cancel := c.cancels[victim]; cancel != nil {
 		cancel()
@@ -394,21 +461,24 @@ func (c *coordinator) declareDeadLocked(victim, round int, cause string) {
 		Round: round, Name: cause, N: int64(adopter)})
 }
 
-// takePending claims (and records as owned) the victims assigned to a
-// worker. Nil-safe.
-func (c *coordinator) takePending(id int) []int {
-	if c == nil {
-		return nil
-	}
+// Claim implements Membership. A death declared in round r is absorbed at
+// the top of round r+1, after the barrier that carried its sentinel —
+// whether or not the adopter had already started round r when it happened —
+// so every run adopts at the same round the shared-filesystem barrier does.
+func (c *coordinator) Claim(id, round int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	victims := c.pending[id]
-	if len(victims) == 0 {
-		return nil
+	var now, later []int
+	for _, v := range c.pending[id] {
+		if c.due[v] < round {
+			now = append(now, v)
+		} else {
+			later = append(later, v)
+		}
 	}
-	delete(c.pending, id)
-	c.owned[id] = append(c.owned[id], victims...)
-	return victims
+	c.pending[id] = later
+	c.owned[id] = append(c.owned[id], now...)
+	return now
 }
 
 // recoveredMap snapshots victim -> adopter for the Result.
@@ -476,103 +546,27 @@ func (c *coordinator) detect(ctx context.Context, tr transport.Transport) {
 	}
 }
 
-// adoptPending absorbs any dead peers assigned to this worker: each
-// victim's base partition, every checkpointed delta it saved before dying,
-// its undelivered inbox, and its rules are merged into this worker's state,
-// and the absorbed tuples seed the next incremental materialization.
-// Already-routed knowledge (base, delivered inbox) is swallowed by advancing
-// the shipping watermark past the adoption; checkpointed triples are queued
-// in `reship` so the next send phase re-routes them — the victim may have
-// died before its last sends completed, and receivers deduplicate through
-// Graph.Add.
+// adoptPending absorbs the dead peers this worker has been assigned since
+// the last round (see absorb) and their rules; a rejoining worker is handed
+// its own id, and re-absorbs its own persisted state the same way. The
+// absorbed tuples seed the next incremental materialization.
 func (w *worker) adoptPending(ctx context.Context, cfg Config, round int) error {
-	victims := w.coord.takePending(w.id)
-	if len(victims) > 0 && w.reship == nil {
-		w.reship = map[rdf.Triple]struct{}{}
+	if w.members == nil {
+		return nil
 	}
-	// Lineage-capable stores/transports let the adopter keep the victim's
-	// derivation records; without them the adoption degrades to lineage-free
-	// replay and the triples read as asserted in the adopter's log.
-	var linStore LineageCheckpointStore
-	var linCarrier transport.LineageCarrier
-	if w.graph.Prov() != nil && len(victims) > 0 {
-		linStore, _ = w.coord.store.(LineageCheckpointStore)
-		linCarrier, _ = cfg.Transport.(transport.LineageCarrier)
-	}
-	addAdopted := func(t rdf.Triple, vlin map[rdf.Triple]rdf.Lineage) bool {
-		if lin, ok := vlin[t]; ok {
-			return w.graph.AddWithLineage(t, lin)
-		}
-		return w.graph.Add(t)
-	}
-	for _, v := range victims {
-		absorbed := 0
-		for _, t := range w.coord.assigns[v].Base {
-			// Base tuples were placed by the partitioner; never re-ship.
-			delete(w.reship, t)
-			if w.graph.Add(t) {
-				w.received = append(w.received, t)
-				absorbed++
-			}
-		}
-		vlin := map[rdf.Triple]rdf.Lineage{}
-		if linStore != nil {
-			lins, err := linStore.LoadLineage(v)
-			if err != nil {
-				return fmt.Errorf("cluster: worker %d adopt %d lineage: %w", w.id, v, err)
-			}
-			for _, l := range lins {
-				if _, ok := vlin[l.T]; !ok { // first derivation wins, like Add
-					vlin[l.T] = l
-				}
-			}
-		}
-		ck, err := w.coord.store.Load(v)
+	for _, v := range w.members.Claim(w.id, round) {
+		a, err := w.members.Assignment(v)
 		if err != nil {
 			return fmt.Errorf("cluster: worker %d adopt %d: %w", w.id, v, err)
 		}
-		for _, t := range ck {
-			if addAdopted(t, vlin) {
-				w.received = append(w.received, t)
-				absorbed++
-				w.reship[t] = struct{}{}
-			}
+		absorbed, err := w.absorb(ctx, cfg, v, round, a.Base)
+		if err != nil {
+			return err
 		}
-		// Drain the victim's inbox from round 0: transports still hold the
-		// undelivered rounds (and File re-serves delivered ones — harmless,
-		// Add deduplicates). These were routed by live senders to every
-		// destination, so they are global knowledge: never re-ship them, even
-		// if a previous victim's checkpoint queued them.
-		for r := 0; r <= round; r++ {
-			in, err := cfg.Transport.Recv(ctx, r, v)
-			if err != nil {
-				return fmt.Errorf("cluster: worker %d adopt %d inbox round %d: %w", w.id, v, r, err)
-			}
-			inLin := vlin
-			if linCarrier != nil {
-				ls, lerr := linCarrier.RecvLineage(ctx, r, v)
-				if lerr != nil {
-					return fmt.Errorf("cluster: worker %d adopt %d lineage round %d: %w", w.id, v, r, lerr)
-				}
-				if len(ls) > 0 {
-					inLin = make(map[rdf.Triple]rdf.Lineage, len(ls)+len(vlin))
-					for t, l := range vlin {
-						inLin[t] = l
-					}
-					for _, l := range ls {
-						inLin[l.T] = l
-					}
-				}
-			}
-			for _, t := range in {
-				delete(w.reship, t)
-				if addAdopted(t, inLin) {
-					w.received = append(w.received, t)
-					absorbed++
-				}
-			}
+		if v == w.id {
+			continue // a rejoin: the partition was this worker's all along
 		}
-		for _, r := range w.coord.assigns[v].Rules {
+		for _, r := range a.Rules {
 			if !containsRule(w.rules, r) {
 				w.rules = append(w.rules, r)
 			}
@@ -581,7 +575,126 @@ func (w *worker) adoptPending(ctx context.Context, cfg Config, round int) error 
 		cfg.Obs.Emit(obs.Event{Type: obs.EvAdopt, TS: cfg.Obs.Now(), Worker: w.id,
 			Round: round, N: int64(v), N2: int64(absorbed)})
 	}
+	// Everything absorbed is routed knowledge (or queued in reship):
+	// advancing the watermark keeps the next send phase from re-shipping it.
+	w.shipped = w.graph.Len()
 	return nil
+}
+
+// absorb merges worker v's persisted state into this worker's graph and
+// returns how many tuples were new: v's base partition, every delta it
+// checkpointed, its inbox from round 0 through round, and — last — its
+// newest tombstone set. Base and inbox are already-routed knowledge: the
+// partitioner placed the base, and live senders routed the inbox to every
+// destination. Checkpointed tuples are queued in reship, because v may have
+// died before its last sends completed. Lineage rides along from stores and
+// transports that keep it; without it the adoption degrades to
+// lineage-free replay and the triples read as asserted in the adopter's
+// log, which lineageCarrier journals.
+func (w *worker) absorb(ctx context.Context, cfg Config, v, round int, base []rdf.Triple) (int, error) {
+	absorbed := 0
+	take := func(t rdf.Triple, lins map[rdf.Triple]rdf.Lineage) bool {
+		if !w.add(t, lins) {
+			return false
+		}
+		w.received = append(w.received, t)
+		absorbed++
+		return true
+	}
+	for _, t := range base {
+		delete(w.reship, t)
+		take(t, nil)
+	}
+	var lins map[rdf.Triple]rdf.Lineage
+	if w.graph.Prov() != nil {
+		lins = map[rdf.Triple]rdf.Lineage{}
+		if ls, ok := w.store.(LineageCheckpointStore); ok {
+			ck, err := ls.LoadLineage(v)
+			if err != nil {
+				return 0, fmt.Errorf("cluster: worker %d absorb %d lineage: %w", w.id, v, err)
+			}
+			merge(lins, ck)
+		}
+	}
+	ck, err := w.store.Load(v)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: worker %d absorb %d: %w", w.id, v, err)
+	}
+	for _, t := range ck {
+		if take(t, lins) {
+			w.reship[t] = struct{}{}
+		}
+	}
+	// Transports still hold the undelivered rounds, and File re-serves
+	// delivered ones — harmless, Add deduplicates. These tuples are global
+	// knowledge: never re-ship them, even if a checkpoint queued them.
+	lc := w.lineageCarrier(cfg, round)
+	for r := 0; r <= round; r++ {
+		in, err := cfg.Transport.Recv(ctx, r, v)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: worker %d absorb %d inbox round %d: %w", w.id, v, r, err)
+		}
+		if lc != nil && len(in) > 0 {
+			shipped, err := w.recvLineage(ctx, cfg, lc, r, v)
+			if err != nil {
+				return 0, err
+			}
+			for t, l := range shipped {
+				if _, ok := lins[t]; !ok {
+					lins[t] = l
+				}
+			}
+		}
+		for _, t := range in {
+			delete(w.reship, t)
+			take(t, lins)
+		}
+	}
+	w.applyTombstones(cfg, v, round)
+	return absorbed, nil
+}
+
+// applyTombstones replays worker v's newest tombstone set over the graph and
+// scrubs the reship and received queues of whatever it kills: a deleted
+// triple must be neither re-routed nor seed the next round's joins. A set
+// that is stale (its newest delta was checkpointed after it) or unreadable
+// degrades to the best one available — the stale set, or none — and the
+// journal says so.
+func (w *worker) applyTombstones(cfg Config, v, round int) {
+	ts, ok := w.store.(TombstoneCheckpointStore)
+	if !ok {
+		return
+	}
+	dead, err := ts.LoadTombstones(v)
+	if err != nil {
+		cfg.Obs.Emit(obs.Event{Type: obs.EvWarn, TS: cfg.Obs.Now(), Worker: w.id, Round: round,
+			Name: fmt.Sprintf("%v; replay degraded to %d tombstones", err, len(dead))})
+	}
+	if w.graph.Delete(dead) == 0 {
+		return
+	}
+	for t := range w.reship {
+		if !w.graph.Has(t) {
+			delete(w.reship, t)
+		}
+	}
+	kept := w.received[:0]
+	for _, t := range w.received {
+		if w.graph.Has(t) {
+			kept = append(kept, t)
+		}
+	}
+	w.received = kept
+}
+
+// merge adds the records of lins that m lacks: the first derivation of a
+// triple wins, as in Graph.Add.
+func merge(m map[rdf.Triple]rdf.Lineage, lins []rdf.Lineage) {
+	for _, l := range lins {
+		if _, ok := m[l.T]; !ok {
+			m[l.T] = l
+		}
+	}
 }
 
 // containsRule reports whether rs already holds r (rule-partitioned victims
@@ -599,10 +712,10 @@ func containsRule(rs []rules.Rule, r rules.Rule) bool {
 // worker has been declared dead — its context was cancelled and its
 // partition reassigned, so the failure is expected and the run continues
 // without it. Any other failure aborts the barrier and surfaces.
-func (w *worker) stepAsideOr(bar *barrier, err error) error {
-	if w.coord.isDead(w.id) {
+func (w *worker) stepAsideOr(err error) error {
+	if w.members != nil && w.members.Dead(w.id) {
 		return errWorkerDead
 	}
-	bar.abort()
+	w.bar.Abort()
 	return err
 }

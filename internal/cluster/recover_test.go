@@ -114,7 +114,7 @@ func TestDetectorDeclaresLaggard(t *testing.T) {
 		coord.atBarrier(1, round)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for !coord.isDead(2) {
+	for !coord.Dead(2) {
 		if time.Now().After(deadline) {
 			t.Fatal("detector never declared the laggard dead")
 		}
@@ -125,7 +125,8 @@ func TestDetectorDeclaresLaggard(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("victim's context was not cancelled")
 	}
-	if got := coord.takePending(0); len(got) != 1 || got[0] != 2 {
+	// Declared at the frontier round 2, the victim is absorbed at round 3.
+	if got := coord.Claim(0, 3); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("worker 0 should have victim 2 pending, got %v", got)
 	}
 	var death bool
@@ -152,7 +153,7 @@ func TestDetectorSparesProgressingWorkers(t *testing.T) {
 		coord.atBarrier(1, round)
 		time.Sleep(10 * time.Millisecond)
 	}
-	if coord.isDead(0) || coord.isDead(1) {
+	if coord.Dead(0) || coord.Dead(1) {
 		t.Fatal("detector killed a healthy worker")
 	}
 }

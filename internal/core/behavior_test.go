@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -54,7 +55,9 @@ func TestAvfRulesDriveTheWorstCase(t *testing.T) {
 		g.AddAll(owlhorst.SplitInstance(ds.Dict, ds.Graph))
 		g.Union(compiled.Schema)
 		start := time.Now()
-		reason.Hybrid{}.Materialize(g, rs)
+		if _, err := (reason.Hybrid{}).MaterializeCtx(context.Background(), g, rs); err != nil {
+			t.Fatal(err)
+		}
 		return time.Since(start)
 	}
 	full := run(compiled.InstanceRules)

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -60,9 +61,6 @@ const (
 	// HybridSharedEngine is HybridEngine with the subgoal table shared
 	// across resource queries (an ablation of the paper's worst case).
 	HybridSharedEngine EngineKind = "hybrid-shared"
-	// ReteEngine is forward chaining through a Rete network, the algorithm
-	// Jena's forward engine uses (§V).
-	ReteEngine EngineKind = "rete"
 )
 
 // TransportKind selects the inter-partition communication mechanism.
@@ -95,8 +93,7 @@ type Config struct {
 	// commit. 0 or 1 keeps every worker's fixpoint serial. Orthogonal to
 	// Workers: Workers partitions the KB across processes, Threads fans the
 	// fixpoint out inside each one. The hybrid engines apply it to their
-	// incremental closes only; Rete ignores it (its memories are one
-	// mutable network).
+	// incremental closes only.
 	Threads int
 	// Transport defaults to MemTransport.
 	Transport TransportKind
@@ -244,7 +241,7 @@ func Materialize(ds *datagen.Dataset, cfg Config) (*Result, error) {
 			base = append(base, schema...)
 			assigns[i] = cluster.Assignment{Base: base, Rules: compiled.InstanceRules}
 		}
-		router = ownerRouter{owner: pres.Owner}
+		router = cluster.OwnerRouter{Owner: pres.Owner}
 
 	case RulePartitioning:
 		rres, err := rulepart.Partition(compiled.InstanceRules, cfg.Workers, rulepart.Options{
@@ -336,7 +333,10 @@ func MaterializeSerial(ds *datagen.Dataset, kind EngineKind) (*SerialResult, err
 	g.AddAll(instance)
 	g.Union(compiled.Schema)
 	start := time.Now()
-	n := engine.Materialize(g, compiled.InstanceRules)
+	n, err := engine.MaterializeCtx(context.Background(), g, compiled.InstanceRules)
+	if err != nil {
+		return nil, err
+	}
 	return &SerialResult{Graph: g, Inferred: n, Elapsed: time.Since(start)}, nil
 }
 
@@ -358,27 +358,6 @@ func closureCostWeights(instance []rdf.Triple, compiled *owlhorst.Compiled) map[
 	return w
 }
 
-// ownerRouter implements the data-partitioning routing rule of §IV: a tuple
-// goes to the owner of its subject and the owner of its object. Terms
-// without an owner (schema resources, replicated everywhere) route nowhere.
-type ownerRouter struct {
-	owner map[rdf.ID]int
-}
-
-// Destinations implements cluster.Router.
-func (r ownerRouter) Destinations(t rdf.Triple, from int) []int {
-	var out []int
-	if p, ok := r.owner[t.S]; ok && p != from {
-		out = append(out, p)
-	}
-	if q, ok := r.owner[t.O]; ok && q != from {
-		if len(out) == 0 || out[0] != q {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 func engineFor(kind EngineKind, threads int) (reason.Engine, error) {
 	switch kind {
 	case ForwardEngine, "":
@@ -387,8 +366,6 @@ func engineFor(kind EngineKind, threads int) (reason.Engine, error) {
 		return reason.Hybrid{Threads: threads}, nil
 	case HybridSharedEngine:
 		return reason.Hybrid{SharedTable: true, Threads: threads}, nil
-	case ReteEngine:
-		return reason.Rete{}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown engine %q", kind)
 	}

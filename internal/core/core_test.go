@@ -62,7 +62,7 @@ func TestAllEngineKindsMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []EngineKind{ForwardEngine, ReteEngine, HybridEngine, HybridSharedEngine} {
+	for _, kind := range []EngineKind{ForwardEngine, HybridEngine, HybridSharedEngine} {
 		res, err := Materialize(ds, Config{Workers: 2, Engine: kind, Seed: 42})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)

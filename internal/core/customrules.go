@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -74,7 +75,7 @@ func MaterializeRules(ds *datagen.Dataset, rs []rules.Rule, cfg Config) (*Result
 		for i := range assigns {
 			assigns[i] = cluster.Assignment{Base: pres.Parts[i], Rules: rs}
 		}
-		router = ownerRouter{owner: pres.Owner}
+		router = cluster.OwnerRouter{Owner: pres.Owner}
 
 	case RulePartitioning:
 		rres, err := rulepart.Partition(rs, cfg.Workers, rulepart.Options{
@@ -179,6 +180,9 @@ func SerialRules(ds *datagen.Dataset, rs []rules.Rule, kind EngineKind) (*Serial
 	}
 	g := ds.Graph.Clone()
 	start := time.Now()
-	n := engine.Materialize(g, rs)
+	n, err := engine.MaterializeCtx(context.Background(), g, rs)
+	if err != nil {
+		return nil, err
+	}
 	return &SerialResult{Graph: g, Inferred: n, Elapsed: time.Since(start)}, nil
 }

@@ -47,6 +47,9 @@ func (f *Transport) Recv(ctx context.Context, round, to int) ([]rdf.Triple, erro
 // Close implements transport.Transport.
 func (f *Transport) Close() error { return f.Inner.Close() }
 
+// Unwrap returns the wrapped transport (see transport.LineageOf).
+func (f *Transport) Unwrap() transport.Transport { return f.Inner }
+
 // DropLink forwards to the inner transport's LinkDropper, if any.
 func (f *Transport) DropLink(from, to int) bool {
 	if d, ok := f.Inner.(transport.LinkDropper); ok {

@@ -2,11 +2,14 @@ package fscluster
 
 import (
 	"bytes"
+	"context"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"powl/internal/cluster"
 	"powl/internal/gpart"
 	"powl/internal/obs"
 	"powl/internal/partition"
@@ -34,14 +37,45 @@ func delFixture(t *testing.T) (Layout, *rdf.Dict, []rdf.Triple) {
 	return l, dict, ts
 }
 
+// nodeStore opens the work directory's checkpoint store, interning
+// through dict.
+func nodeStore(t *testing.T, l Layout, dict *rdf.Dict) *cluster.DirCheckpoints {
+	t.Helper()
+	store, err := cluster.NewDirCheckpoints(l.Dir, dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
 // writeDelFile persists dels as node 0's round-r tombstone sidecar.
 func writeDelFile(t *testing.T, l Layout, round int, dict *rdf.Dict, dels []rdf.Triple) {
 	t.Helper()
-	g := rdf.NewGraph()
-	g.AddAll(dels)
-	if err := writeGraphFile(l.DelCkptFile(round, 0), dict, g); err != nil {
+	if err := nodeStore(t, l, dict).SaveTombstones(0, round, dels); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// reconstruct replays node 0's persisted state — base, checkpoints, inbox,
+// newest tombstones — into a fresh dict through the loader adopters and
+// rejoining nodes use, journaling into o. The graph's tombstone count is
+// the number of deletions the replay applied.
+func reconstruct(t *testing.T, l Layout, o *obs.Run) (*rdf.Graph, *rdf.Dict) {
+	t.Helper()
+	dict := rdf.NewDict()
+	base := rdf.NewGraph()
+	if err := readGraphFile(l.PartFile(0), dict, base); err != nil {
+		t.Fatal(err)
+	}
+	ccfg, err := nodeCluster(l, dict, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := cluster.Reconstruct(context.Background(), ccfg, 0, 0, base.Triples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, dict
 }
 
 // TestDelSidecarRoundtrip checks the write path against the read path: a
@@ -55,24 +89,18 @@ func TestDelSidecarRoundtrip(t *testing.T) {
 	// production writer, driven by real tombstones.
 	g := rdf.NewGraph()
 	g.AddAll(ts)
+	store := nodeStore(t, l, dict)
 	g.Delete(ts[:1])
-	if err := writeDelSidecar(l, 0, 0, dict, g); err != nil {
+	if err := store.SaveTombstones(0, 0, g.DeadTriples()); err != nil {
 		t.Fatal(err)
 	}
 	g.Delete(ts[1:2])
-	if err := writeDelSidecar(l, 1, 0, dict, g); err != nil {
+	if err := store.SaveTombstones(0, 1, g.DeadTriples()); err != nil {
 		t.Fatal(err)
 	}
 
-	dict2 := rdf.NewDict()
-	g2 := rdf.NewGraph()
-	if err := reconstruct(l, 0, dict2, g2, nil); err != nil {
-		t.Fatal(err)
-	}
-	n, err := applyDelSidecars(l, 0, dict2, g2, nil, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2, dict2 := reconstruct(t, l, nil)
+	n := g2.Dead()
 	if n != 2 {
 		t.Fatalf("applied %d deletions, want 2 (newest cumulative sidecar)", n)
 	}
@@ -91,24 +119,15 @@ func TestDelSidecarRoundtrip(t *testing.T) {
 func TestDelSidecarMissingNewest(t *testing.T) {
 	l, dict, ts := delFixture(t)
 	writeDelFile(t, l, 0, dict, ts[:1])
-	ck := rdf.NewGraph()
-	ck.AddAll(ts[2:])
-	if err := writeGraphFile(l.CkptFile(2, 0), dict, ck); err != nil {
+	if err := nodeStore(t, l, dict).Save(0, 2, ts[2:]); err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
 	run := obs.NewRun(sink, nil)
-	dict2 := rdf.NewDict()
-	g2 := rdf.NewGraph()
-	if err := reconstruct(l, 0, dict2, g2, nil); err != nil {
-		t.Fatal(err)
-	}
-	n, err := applyDelSidecars(l, 0, dict2, g2, run, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2, _ := reconstruct(t, l, run)
+	n := g2.Dead()
 	if n != 1 {
 		t.Fatalf("applied %d deletions, want the 1 from the stale sidecar", n)
 	}
@@ -124,24 +143,21 @@ func TestDelSidecarMissingNewest(t *testing.T) {
 // sidecar replays as deletion-free, with a journaled warning, rather than
 // failing the rejoin.
 func TestDelSidecarCorrupt(t *testing.T) {
-	l, dict, _ := delFixture(t)
-	if err := os.WriteFile(l.DelCkptFile(0, 0), []byte("<<<not ntriples\n"), 0o644); err != nil {
+	l, dict, ts := delFixture(t)
+	writeDelFile(t, l, 0, dict, ts[:1])
+	tombs, err := filepath.Glob(filepath.Join(l.Dir, "tomb_w00_r*.nt"))
+	if err != nil || len(tombs) != 1 {
+		t.Fatalf("tombstone sidecar not found: %v, %v", tombs, err)
+	}
+	if err := os.WriteFile(tombs[0], []byte("<<<not ntriples\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_ = dict
 
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
 	run := obs.NewRun(sink, nil)
-	dict2 := rdf.NewDict()
-	g2 := rdf.NewGraph()
-	if err := reconstruct(l, 0, dict2, g2, nil); err != nil {
-		t.Fatal(err)
-	}
-	n, err := applyDelSidecars(l, 0, dict2, g2, run, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2, _ := reconstruct(t, l, run)
+	n := g2.Dead()
 	if n != 0 {
 		t.Fatalf("corrupt sidecar applied %d deletions, want 0", n)
 	}

@@ -1,54 +1,49 @@
 // Worker recovery for the shared-filesystem cluster.
 //
-// The fault model is fail-stop with single-failure tolerance: a node process
-// dies (crash, OOM, kill) and simply stops writing files. Its peers block at
-// the done-marker barrier, so without intervention one dead worker wedges the
-// whole round. Recovery has three parts:
+// The fault model is fail-stop: a node process dies (crash, OOM, kill) and
+// simply stops writing files. Its peers block at the done-marker barrier, so
+// without intervention one dead worker wedges the whole round. Recovery is
+// package cluster's, with files as its seams:
 //
-//  1. Checkpoints. Every node writes its per-round routing delta to a
-//     checkpoint file before its marker (fscluster.go). Base partition +
-//     checkpoints + messages addressed to the node reconstruct its graph at
-//     the last round it completed; anything it derived after its last
-//     checkpoint is re-derivable, because forward inference is deterministic
-//     and monotone over the same inputs.
+//  1. Checkpoints. Every node's worker checkpoints its per-round routing
+//     delta and received tuples (cluster.DirCheckpoints in the work
+//     directory) before its marker. Base partition + checkpoints + messages
+//     addressed to the node reconstruct its graph at the last round it
+//     completed; anything it derived after is re-derivable, because forward
+//     inference is deterministic and monotone over the same inputs.
 //
 //  2. Supervision. The master runs Supervise alongside the nodes. It watches
 //     the marker files; once any node posts a round's marker, the rest have
 //     RoundDeadline to follow. A laggard is declared dead by writing its
 //     dead-file, whose content names the adopter (the lowest live node id).
 //
-//  3. Adoption. A node blocked at the barrier notices the dead-file naming it
-//     and takes over on the spot: it merges the dead peer's reconstructed
-//     state into its own graph, then writes the dead peer's marker for the
-//     stuck round so the barrier completes cluster-wide. The marker carries
-//     the count of newly absorbed tuples, which keeps the global sent-sum
-//     positive and forces at least one more round — the adopter still has to
-//     reason over the merged state before anyone may quiesce. From then on
-//     the adopter writes the dead peer's markers (0) each round and drains
-//     its inbox: the ownership table is immutable, so the rest of the cluster
-//     keeps routing to the dead node's inbox files and correctness is
-//     preserved without re-partitioning. Checkpointed tuples are deliberately
-//     queued for re-shipping when merged — the dead node may have
-//     checkpointed them and died before shipping, so the adopter re-routes
-//     them in its next route phase (receivers deduplicate).
-//
-// A second failure — in particular of an adopter — is not tolerated; the
-// barrier then times out and the run fails, which is the pre-recovery
-// behaviour for any failure.
+//  3. Adoption. A node blocked at the barrier (fileBarrier) notices a
+//     missing marker whose dead-file chain ends at it and claims the dead
+//     peer on the spot: it writes the peer's marker with the sentinel 1, so
+//     the round completes cluster-wide but cannot read as quiescent, and
+//     its worker absorbs the peer at the top of the next round — the rule
+//     the in-process barrier applies when it shrinks. From then on the
+//     adopter writes the dead peer's markers (0) each round and drains its
+//     inbox: the ownership table is immutable, so the rest of the cluster
+//     keeps routing to the dead node and correctness is preserved without
+//     re-partitioning. An adopter that dies in turn is claimed along with
+//     everything it had claimed, since the dead-file chains now end at its
+//     own adopter.
 package fscluster
 
 import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"powl/internal/obs"
+	"powl/internal/cluster"
 	"powl/internal/rdf"
+	"powl/internal/rio"
+	"powl/internal/rules"
 )
 
 // SuperviseConfig configures the master-side failure detector.
@@ -199,7 +194,7 @@ func declareDead(l Layout, victim, k int, dead map[int]int) error {
 	if adopter < 0 {
 		return fmt.Errorf("fscluster: node %d dead with no live adopter", victim)
 	}
-	if err := writeAtomic(l.DeadFile(victim), strconv.Itoa(adopter)); err != nil {
+	if err := rio.WriteFileAtomic(l.DeadFile(victim), []byte(strconv.Itoa(adopter))); err != nil {
 		return err
 	}
 	dead[victim] = adopter
@@ -250,135 +245,117 @@ func lastCompletedRound(l Layout, id int) (int, error) {
 	}
 }
 
-// adopt takes over dead peer id during the barrier wait of the given round:
-// merge its reconstructed state, then write its marker so the round can
-// complete. See the package comment above for the full protocol.
-func (n *node) adopt(id, round int) error {
-	absorbed := 0
-	// With provenance on, replay the victim's lineage sidecars alongside its
-	// tuple files so the adopted partition keeps its derivation records.
-	linMap, err := loadLineageSidecars(n.l, id, n.dict, n.g, n.cfg.Obs, n.cfg.ID, round)
-	if err != nil {
-		return fmt.Errorf("fscluster: node %d adopting %d lineage: %w", n.cfg.ID, id, err)
-	}
-	add := func(t rdf.Triple) bool {
-		if lin, ok := linMap[t]; ok {
-			return n.g.AddWithLineage(t, lin)
-		}
-		return n.g.Add(t)
-	}
-	if err := reconstruct(n.l, id, n.dict, nil, func(t rdf.Triple, routed bool) {
-		if routed {
-			// Already-routed knowledge: the recv phase's watermark advance
-			// will swallow it; drop any reship claim a previous adoption made.
-			delete(n.reship, t)
-		}
-		if add(t) {
-			// New knowledge: seed the next reasoning round with it, so joins
-			// across the two merged partitions are derived.
-			n.received = append(n.received, t)
-			absorbed++
-			if !routed {
-				n.reship[t] = struct{}{}
-			}
-		}
-	}); err != nil {
-		return fmt.Errorf("fscluster: node %d adopting %d: %w", n.cfg.ID, id, err)
-	}
-	// The dead peer's deletions outlive it: replay its newest tombstone
-	// sidecar over the merged state (and scrub the reship/received queues of
-	// anything it kills) before the merged graph is reasoned over.
-	if err := n.applyDeletions(id, round); err != nil {
-		return fmt.Errorf("fscluster: node %d adopting %d deletions: %w", n.cfg.ID, id, err)
-	}
-	n.adopted = append(n.adopted, id)
-	n.cfg.Obs.Emit(obs.Event{Type: obs.EvRecovery, TS: n.cfg.Obs.Now(),
-		Worker: n.cfg.ID, Round: round, N: int64(id), N2: int64(absorbed)})
-	// The marker unblocks every peer's barrier; carrying the absorbed count
-	// forces at least one more round so the merged state gets reasoned over.
-	return writeAtomic(n.l.MarkerFile(round, id), strconv.Itoa(absorbed))
+// fileBarrier is one node's cluster.Barrier and cluster.Membership over the
+// work directory (see the package comment above for the protocol). Only the
+// node's worker goroutine calls it.
+type fileBarrier struct {
+	l             Layout
+	k             int
+	poll, timeout time.Duration
+	dict          *rdf.Dict
+	rules         []rules.Rule
+	// claimed lists the dead peers this node has taken over; pending holds
+	// those its worker has not absorbed yet.
+	claimed, pending []int
 }
 
-// reconstruct replays dead node id's persisted state: base partition and
-// delivered messages (already-routed knowledge) plus checkpoints (derived
-// deltas that may not have been shipped before the crash). Exactly one of g
-// and visit is used: with g the tuples are added to it; with visit the
-// callback receives each tuple and whether it counts as already routed.
-func reconstruct(l Layout, id int, dict *rdf.Dict, g *rdf.Graph, visit func(t rdf.Triple, routed bool)) error {
-	emit := func(path string, routed bool) error {
-		in := rdf.NewGraph()
-		if err := readGraphFile(path, dict, in); err != nil {
-			return err
-		}
-		for _, t := range in.TriplesSince(0) {
-			if visit != nil {
-				visit(t, routed)
-			} else {
-				g.Add(t)
-			}
-		}
-		return nil
+// Sync implements cluster.Barrier: post this node's marker (and the
+// markers of the peers it took over), then poll for every node's marker of
+// the round and return their sum.
+//
+//powl:ignore wallclock the shared-FS barrier polls against a real deadline — liveness, not output.
+func (b *fileBarrier) Sync(ctx context.Context, id, round, sent int) (int, error) {
+	if err := writeMarker(b.l.MarkerFile(round, id), sent); err != nil {
+		return 0, err
 	}
-	if err := emit(l.PartFile(id), true); err != nil {
-		return err
-	}
-	msgs, err := filepath.Glob(l.msgGlob(id))
-	if err != nil {
-		return err
-	}
-	for _, p := range msgs {
-		if err := emit(p, true); err != nil {
-			return err
+	for _, v := range b.claimed {
+		if err := writeMarker(b.l.MarkerFile(round, v), 0); err != nil {
+			return 0, err
 		}
 	}
-	ckpts, err := filepath.Glob(l.ckptGlob(id))
-	if err != nil {
-		return err
-	}
-	for _, p := range ckpts {
-		if err := emit(p, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// loadLineageSidecars merges node id's checkpoint and inbound-message lineage
-// sidecars into one triple-keyed map (first record wins, checkpoints first —
-// the node's own derivations beat relayed copies). Returns nil without
-// touching disk when g does not record provenance: replay then degrades to
-// plain Add, matching a lineage-free run. A prov-on node whose sidecars are
-// all gone (crash before the first sidecar write) degrades the same way,
-// and journals that through o before continuing — worker and round stamp
-// the event with who is replaying and when.
-func loadLineageSidecars(l Layout, id int, dict *rdf.Dict, g *rdf.Graph, o *obs.Run, worker, round int) (map[rdf.Triple]rdf.Lineage, error) {
-	if g.Prov() == nil {
-		return nil, nil
-	}
-	merged := make(map[rdf.Triple]rdf.Lineage)
-	files := 0
-	for _, glob := range []string{l.linCkptGlob(id), l.linMsgGlob(id)} {
-		paths, err := filepath.Glob(glob)
-		if err != nil {
-			return nil, err
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			lins, err := readLineageFile(p, dict)
+	deadline := time.Now().Add(b.timeout)
+	for {
+		total, missing := 0, false
+		for i := 0; i < b.k; i++ {
+			raw, err := os.ReadFile(b.l.MarkerFile(round, i))
 			if err != nil {
-				return nil, err
-			}
-			files++
-			for _, lin := range lins {
-				if _, ok := merged[lin.T]; !ok {
-					merged[lin.T] = lin
+				missing = true
+				if adopterOf(b.l, b.k, i) == id && !slices.Contains(b.claimed, i) {
+					b.claimed = append(b.claimed, i)
+					b.pending = append(b.pending, i)
+					if err := writeMarker(b.l.MarkerFile(round, i), 1); err != nil {
+						return 0, err
+					}
 				}
+				continue
 			}
+			n, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+			if err != nil {
+				return 0, fmt.Errorf("fscluster: bad marker %s: %w", b.l.MarkerFile(round, i), err)
+			}
+			total += n
+		}
+		if !missing {
+			return total, nil
+		}
+		if time.Now().After(deadline) {
+			return 0, fmt.Errorf("fscluster: node %d: timed out waiting for round %d markers", id, round)
+		}
+		select {
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		case <-time.After(b.poll):
 		}
 	}
-	if files == 0 {
-		o.Emit(obs.Event{Type: obs.EvWarn, TS: o.Now(), Worker: worker, Round: round,
-			Name: fmt.Sprintf("node %d has no lineage sidecars; replay degraded to plain asserted adds", id)})
+}
+
+// Abort implements cluster.Barrier: a failing node simply stops writing
+// markers; its peers learn of it from the supervisor.
+func (b *fileBarrier) Abort() {}
+
+// Died implements cluster.Membership: the process is about to exit, and the
+// supervisor will notice the missing marker.
+func (b *fileBarrier) Died(id, round int) {}
+
+// Dead implements cluster.Membership. A node never steps aside on its own:
+// a supervisor may declare a slow node dead after its marker was already
+// read, in which case nobody adopts it and it must finish its partition.
+func (b *fileBarrier) Dead(id int) bool { return false }
+
+// Claim implements cluster.Membership: the peers claimed at the barrier
+// before round.
+func (b *fileBarrier) Claim(id, round int) []int {
+	out := b.pending
+	b.pending = nil
+	return out
+}
+
+// Assignment implements cluster.Membership: node v's base partition from
+// its part file, and the rule set every node shares.
+func (b *fileBarrier) Assignment(v int) (cluster.Assignment, error) {
+	g := rdf.NewGraph()
+	if err := readGraphFile(b.l.PartFile(v), b.dict, g); err != nil {
+		return cluster.Assignment{}, err
 	}
-	return merged, nil
+	return cluster.Assignment{Base: g.Triples(), Rules: b.rules}, nil
+}
+
+// writeMarker posts a round marker carrying n.
+func writeMarker(path string, n int) error {
+	return rio.WriteFileAtomic(path, []byte(strconv.Itoa(n)))
+}
+
+// adopterOf follows node i's dead-file chain (victim, its adopter, that
+// one's adopter, ...) to the live node that owns i's partition now; -1 when
+// i is not dead.
+func adopterOf(l Layout, k, i int) int {
+	owner := -1
+	for a, hops := i, 0; hops <= k; hops++ {
+		next, dead := readDeadFile(l, a)
+		if !dead {
+			return owner
+		}
+		owner, a = next, next
+	}
+	return -1
 }

@@ -16,6 +16,7 @@ import (
 	"powl/internal/obs"
 	"powl/internal/partition"
 	"powl/internal/reason"
+	"powl/internal/rio"
 )
 
 // runSupervisedCluster runs k nodes plus the supervisor; injectors[i] (may be
@@ -176,7 +177,7 @@ func TestMergeReconstructsLateDeath(t *testing.T) {
 	if err := os.Remove(l.ClosureFile(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeAtomic(l.DeadFile(1), "0"); err != nil {
+	if err := rio.WriteFileAtomic(l.DeadFile(1), []byte("0")); err != nil {
 		t.Fatal(err)
 	}
 	_, merged, err := MergeClosures(dir, k)
@@ -277,10 +278,10 @@ func TestRejoinRefusedWhenAdopted(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := Layout{Dir: dir}
-	if err := writeAtomic(l.EpochFile(1), "1"); err != nil {
+	if err := rio.WriteFileAtomic(l.EpochFile(1), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeAtomic(l.DeadFile(1), "0"); err != nil {
+	if err := rio.WriteFileAtomic(l.DeadFile(1), []byte("0")); err != nil {
 		t.Fatal(err)
 	}
 	_, err := RunNode(NodeConfig{ID: 1, K: 2, Dir: dir,

@@ -259,7 +259,7 @@ func TestWriteTrace(t *testing.T) {
 		{Type: EvPhase, TS: 0, Dur: 1000, Worker: 1, Round: 0, Phase: PhaseReason},
 		{Type: EvPhase, TS: 1000, Dur: 1000, Worker: 1, Round: 0, Phase: PhaseSync},
 		{Type: EvFault, TS: 1500, Worker: 1, Round: 0, Name: "injected crash"},
-		{Type: EvRecovery, TS: 1800, Worker: 0, Round: 0, N: 1},
+		{Type: EvAdopt, TS: 1800, Worker: 0, Round: 0, N: 1},
 		{Type: EvCheckpoint, TS: 500, Worker: 0, Round: 0, N: 10, Bytes: 99},
 		{Type: EvPhase, TS: 2000, Dur: 500, Worker: MasterWorker, Phase: PhaseAggregate},
 	}

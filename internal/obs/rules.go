@@ -13,11 +13,11 @@ import (
 //     whose conclusion already existed still counts, because its join work
 //     was still paid).
 //   - Matches: complete body matches (successful joins reaching the head).
-//   - Time: cumulative wall time attributed to the rule. Forward/Rete
-//     attribute the triple-driven activation work per rule exactly; the
+//   - Time: cumulative wall time attributed to the rule. Forward
+//     attributes the triple-driven activation work per rule exactly; the
 //     hybrid engine attributes each outermost resolution (nested SLD
 //     subgoals stay within the rule that opened them), so times partition
-//     the engine's rule-evaluation time in all three engines.
+//     the engine's rule-evaluation time in both engines.
 type RuleStats struct {
 	Firings int64
 	Matches int64

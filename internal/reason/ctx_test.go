@@ -27,8 +27,8 @@ func bigChain(n int) (*rdf.Graph, []rules.Rule) {
 	return g, rs
 }
 
-func ctxEngines() []ContextEngine {
-	return []ContextEngine{Forward{}, Rete{}, Hybrid{}, Hybrid{SharedTable: true}}
+func ctxEngines() []Engine {
+	return []Engine{Forward{}, Hybrid{}, Hybrid{SharedTable: true}}
 }
 
 func TestMaterializeCtxCancelledUpFront(t *testing.T) {
@@ -51,7 +51,7 @@ func TestMaterializeCtxBackgroundMatchesPlain(t *testing.T) {
 	for _, e := range ctxEngines() {
 		g1, rs := bigChain(32)
 		g2 := g1.Clone()
-		want := e.Materialize(g1, rs)
+		want := mat(e, g1, rs)
 		got, err := e.MaterializeCtx(context.Background(), g2, rs)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
@@ -66,32 +66,11 @@ func TestMaterializeFromCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, e := range ctxEngines() {
-		inc, ok := any(e).(IncrementalContext)
-		if !ok {
-			t.Fatalf("%s does not implement IncrementalContext", e.Name())
-		}
 		g, rs := bigChain(32)
 		seed := g.Triples()[:1]
-		if _, err := inc.MaterializeFromCtx(ctx, g, rs, seed); !errors.Is(err, context.Canceled) {
+		if _, err := e.MaterializeFromCtx(ctx, g, rs, seed); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want Canceled", e.Name(), err)
 		}
-	}
-}
-
-// TestMaterializeCtxHelperFallback: the helper must work for engines that
-// do not implement ContextEngine.
-type plainEngine struct{ Engine }
-
-func TestMaterializeCtxHelperFallback(t *testing.T) {
-	g, rs := bigChain(16)
-	n, err := MaterializeCtx(context.Background(), plainEngine{Forward{}}, g, rs)
-	if err != nil || n == 0 {
-		t.Fatalf("fallback: n=%d err=%v", n, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := MaterializeCtx(ctx, plainEngine{Forward{}}, rdf.NewGraph(), rs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("fallback ignored cancelled ctx: %v", err)
 	}
 }
 

@@ -23,54 +23,23 @@ import (
 	"powl/internal/rules"
 )
 
-// Engine materializes the closure of a graph under a rule set.
+// Engine materializes the closure of a graph under a rule set. Both engines
+// are cancellable: they check ctx between iterations and stop with ctx.Err()
+// when it is cancelled or its deadline passes, leaving g in a consistent
+// (sound but possibly incomplete) state. The cluster layer relies on that to
+// enforce per-round deadlines and run cancellation.
 type Engine interface {
 	// Name identifies the engine in reports ("forward", "hybrid").
 	Name() string
-	// Materialize adds all derivable triples to g and returns the number of
-	// triples added.
-	Materialize(g *rdf.Graph, rs []rules.Rule) int
-}
-
-// ContextEngine is implemented by engines whose fixpoint loop is
-// cancellable: MaterializeCtx checks ctx between iterations and stops with
-// ctx.Err() when it is cancelled or its deadline passes, leaving g in a
-// consistent (sound but possibly incomplete) state. All three built-in
-// engines implement it; the cluster layer uses it to enforce per-round
-// deadlines and run cancellation.
-type ContextEngine interface {
-	Engine
+	// MaterializeCtx adds all derivable triples to g and returns the number
+	// of triples added.
 	MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule) (int, error)
-}
-
-// IncrementalContext is the cancellable counterpart of Incremental.
-type IncrementalContext interface {
-	Incremental
+	// MaterializeFromCtx re-establishes the closure of g after the seed
+	// tuples were inserted into a g that was closed under rs before: every
+	// missing derivation joins at least one seed, so only those are
+	// explored. The cluster workers use it for every round after the first.
+	// Calling it with an arbitrary (non-closed) g is not complete.
 	MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) (int, error)
-}
-
-// MaterializeCtx runs e under ctx when the engine supports cancellation and
-// falls back to the plain blocking call otherwise.
-func MaterializeCtx(ctx context.Context, e Engine, g *rdf.Graph, rs []rules.Rule) (int, error) {
-	if ce, ok := e.(ContextEngine); ok {
-		return ce.MaterializeCtx(ctx, g, rs)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return e.Materialize(g, rs), nil
-}
-
-// MaterializeFromCtx is MaterializeCtx for the incremental path. The caller
-// must already know inc implements Incremental.
-func MaterializeFromCtx(ctx context.Context, inc Incremental, g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) (int, error) {
-	if ic, ok := inc.(IncrementalContext); ok {
-		return ic.MaterializeFromCtx(ctx, g, rs, seeds)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return inc.MaterializeFrom(g, rs, seeds), nil
 }
 
 // slotTerm is a body/head position in compiled form: either a constant ID or

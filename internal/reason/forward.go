@@ -34,10 +34,10 @@ type trigger struct {
 	atomIdx int
 }
 
-// Materialize implements Engine. The rule set must be executable
-// (ValidateRules): the int-only Engine interface has nowhere to surface a
-// compile error, so an invalid set panics here — callers that accept rules
-// from outside validate first.
+// Materialize is MaterializeCtx without cancellation, for callers that close
+// a graph outside any run. The rule set must be executable (ValidateRules):
+// with no error to return, an invalid set panics here — callers that accept
+// rules from outside validate first.
 func (f Forward) Materialize(g *rdf.Graph, rs []rules.Rule) int {
 	n, err := f.materialize(context.Background(), g, rs, g.Triples())
 	if err != nil {
@@ -46,7 +46,7 @@ func (f Forward) Materialize(g *rdf.Graph, rs []rules.Rule) int {
 	return n
 }
 
-// MaterializeCtx implements ContextEngine: the semi-naive loop checks ctx
+// MaterializeCtx implements Engine: the semi-naive loop checks ctx
 // between rounds and between delta triples, so cancellation lands within
 // one rule firing.
 func (f Forward) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule) (int, error) {

@@ -50,17 +50,7 @@ func (h Hybrid) Name() string {
 	return "hybrid"
 }
 
-// Materialize implements Engine. Like Forward.Materialize it panics on a
-// rule set that fails ValidateRules — validate caller-supplied rules first.
-func (h Hybrid) Materialize(g *rdf.Graph, rs []rules.Rule) int {
-	n, err := h.MaterializeCtx(context.Background(), g, rs)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// MaterializeCtx implements ContextEngine: the per-resource query loop
+// MaterializeCtx implements Engine: the per-resource query loop
 // checks ctx before each resource, so cancellation lands within one
 // backward query.
 func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule) (int, error) {

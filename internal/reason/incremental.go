@@ -9,20 +9,7 @@ import (
 	"powl/internal/rules"
 )
 
-// Incremental is implemented by engines that can re-establish the closure of
-// an already-materialized graph after new tuples arrive, without redoing the
-// full materialization. The cluster workers use it for every round after the
-// first: the graph was at fixpoint at the end of the previous round, so only
-// derivations involving the newly received seed tuples can be missing.
-type Incremental interface {
-	// MaterializeFrom adds all triples derivable from g given that g was
-	// closed under rs before the seed tuples were inserted. It returns the
-	// number of triples added. Calling it with an arbitrary (non-closed) g
-	// is not complete — use Materialize for that.
-	MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) int
-}
-
-// MaterializeFrom implements Incremental for the forward engine: it is the
+// MaterializeFrom is the forward engine's incremental close: it is the
 // semi-naive round with the delta seeded by the new tuples instead of the
 // whole graph. Because g was previously at fixpoint, every missing
 // derivation joins at least one seed, so seeding the delta with the seeds is
@@ -38,7 +25,7 @@ func (f Forward) MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Trip
 	return n
 }
 
-// MaterializeFromCtx implements IncrementalContext.
+// MaterializeFromCtx implements Engine; see MaterializeFrom.
 func (f Forward) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) (int, error) {
 	if len(seeds) == 0 {
 		return 0, ctx.Err()
@@ -46,7 +33,7 @@ func (f Forward) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rule
 	return f.materialize(ctx, g, rs, seeds)
 }
 
-// MaterializeFrom implements Incremental for the hybrid engine.
+// MaterializeFromCtx implements Engine for the hybrid engine.
 //
 // By default the delta is closed bottom-up with the forward engine's
 // semi-naive round: the paper's expensive per-resource backward driver is
@@ -61,14 +48,8 @@ func (f Forward) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rule
 // of one of the two joined tuples, so per-resource queries over an
 // expanding frontier — the seed tuples' resources plus their graph
 // neighbours, then the resources (and neighbours) of each new triple —
-// reach every affected subject. BenchmarkAblation_Delta compares the two.
-func (h Hybrid) MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) int {
-	n, _ := h.MaterializeFromCtx(context.Background(), g, rs, seeds)
-	return n
-}
-
-// MaterializeFromCtx implements IncrementalContext; the frontier loop
-// checks ctx per batch.
+// reach every affected subject; the frontier loop checks ctx per batch.
+// BenchmarkAblation_Delta compares the two.
 func (h Hybrid) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) (int, error) {
 	if len(seeds) == 0 {
 		return 0, ctx.Err()

@@ -242,9 +242,6 @@ func TestValidateRulesTooWide(t *testing.T) {
 	if _, err := (reason.Hybrid{}).MaterializeCtx(context.Background(), g, bad); err == nil {
 		t.Error("Hybrid.MaterializeCtx accepted the rule set")
 	}
-	if _, err := (reason.Rete{}).MaterializeCtx(context.Background(), g, bad); err == nil {
-		t.Error("Rete.MaterializeCtx accepted the rule set")
-	}
 }
 
 // TestRetractorSetRules pins the scratch-sizing regression: a Retractor

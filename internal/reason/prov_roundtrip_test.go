@@ -149,24 +149,6 @@ func TestProvenanceRoundTripLUBM(t *testing.T) {
 	}
 }
 
-// TestProvenanceRoundTripRete runs the same property over the rete engine,
-// whose premises come from join tokens instead of the semi-naive scratch.
-func TestProvenanceRoundTripRete(t *testing.T) {
-	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7, DeptsPerUniv: 2})
-	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
-	instance := owlhorst.SplitInstance(ds.Dict, ds.Graph)
-	g := rdf.NewGraph()
-	g.EnableProv()
-	g.AddAll(instance)
-	g.Union(compiled.Schema)
-	reason.Rete{}.Materialize(g, compiled.InstanceRules)
-	derived := verifyAllDerived(t, g, compiled.InstanceRules)
-	if derived == 0 {
-		t.Fatal("rete closure produced no derived triples")
-	}
-	t.Logf("verified %d derived triples of %d total", derived, g.Len())
-}
-
 // TestProvenanceForwardVsIncremental feeds half the instance triples as
 // seeds through the incremental path and requires the same closure as the
 // one-shot forward run, with every derived triple's lineage round-tripping

@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,15 @@ func (f *fx) parse(src string) []rules.Rule {
 
 var engines = []Engine{Forward{}, Hybrid{}, Hybrid{SharedTable: true}}
 
+// mat materializes g under rs with e, failing loudly on an engine error.
+func mat(e Engine, g *rdf.Graph, rs []rules.Rule) int {
+	n, err := e.MaterializeCtx(context.Background(), g, rs)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 // checkAllEngines materializes clones of g under rs with every engine and
 // requires identical results; returns the closure.
 func checkAllEngines(t *testing.T, f *fx, rs []rules.Rule) *rdf.Graph {
@@ -33,7 +43,7 @@ func checkAllEngines(t *testing.T, f *fx, rs []rules.Rule) *rdf.Graph {
 	var ref *rdf.Graph
 	for _, e := range engines {
 		g := f.g.Clone()
-		e.Materialize(g, rs)
+		mat(e, g, rs)
 		if ref == nil {
 			ref = g
 			continue
@@ -166,14 +176,14 @@ func TestEmptyGraphAndEmptyRules(t *testing.T) {
 	rs := f.parse(`[r: (?x t:p ?y) -> (?y t:p ?x)]`)
 	for _, e := range engines {
 		g := rdf.NewGraph()
-		if n := e.Materialize(g, rs); n != 0 || g.Len() != 0 {
+		if n := mat(e, g, rs); n != 0 || g.Len() != 0 {
 			t.Errorf("%s on empty graph added %d", e.Name(), n)
 		}
 	}
 	f.add(f.id("a"), f.id("p"), f.id("b"))
 	for _, e := range engines {
 		g := f.g.Clone()
-		if n := e.Materialize(g, nil); n != 0 {
+		if n := mat(e, g, nil); n != 0 {
 			t.Errorf("%s with no rules added %d", e.Name(), n)
 		}
 	}
@@ -188,7 +198,7 @@ func TestMaterializeReturnsAddedCount(t *testing.T) {
 	rs := f.parse(`[tr: (?x t:p ?y) (?y t:p ?z) -> (?x t:p ?z)]`)
 	for _, e := range engines {
 		g := f.g.Clone()
-		if n := e.Materialize(g, rs); n != 1 {
+		if n := mat(e, g, rs); n != 1 {
 			t.Errorf("%s reported %d added, want 1", e.Name(), n)
 		}
 	}
@@ -268,9 +278,9 @@ func TestEnginesAgreeProperty(t *testing.T) {
 		fw := f.g.Clone()
 		Forward{}.Materialize(fw, rs)
 		hy := f.g.Clone()
-		Hybrid{}.Materialize(hy, rs)
+		mat(Hybrid{}, hy, rs)
 		hs := f.g.Clone()
-		Hybrid{SharedTable: true}.Materialize(hs, rs)
+		mat(Hybrid{SharedTable: true}, hs, rs)
 		return fw.Equal(hy) && fw.Equal(hs)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
@@ -313,7 +323,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		}
 		Forward{}.Materialize(ref, rs)
 
-		for _, inc := range []Incremental{Forward{}, Hybrid{}, Hybrid{FrontierDelta: true}} {
+		for _, inc := range []Engine{Forward{}, Hybrid{}, Hybrid{FrontierDelta: true}} {
 			g := f.g.Clone()
 			Forward{}.Materialize(g, rs) // fixpoint before the seeds arrive
 			var fresh []rdf.Triple
@@ -322,7 +332,9 @@ func TestIncrementalMatchesFull(t *testing.T) {
 					fresh = append(fresh, s)
 				}
 			}
-			inc.MaterializeFrom(g, rs, fresh)
+			if _, err := inc.MaterializeFromCtx(context.Background(), g, rs, fresh); err != nil {
+				return false
+			}
 			if !g.Equal(ref) {
 				return false
 			}
@@ -338,9 +350,9 @@ func TestMaterializeFromEmptySeeds(t *testing.T) {
 	f := newFx()
 	f.add(f.id("a"), f.id("p"), f.id("b"))
 	rs := f.parse(`[tr: (?x t:p ?y) (?y t:p ?z) -> (?x t:p ?z)]`)
-	for _, inc := range []Incremental{Forward{}, Hybrid{}, Hybrid{FrontierDelta: true}} {
+	for _, inc := range []Engine{Forward{}, Hybrid{}, Hybrid{FrontierDelta: true}} {
 		g := f.g.Clone()
-		if n := inc.MaterializeFrom(g, rs, nil); n != 0 {
+		if n, _ := inc.MaterializeFromCtx(context.Background(), g, rs, nil); n != 0 {
 			t.Errorf("empty seeds derived %d", n)
 		}
 	}

@@ -37,6 +37,12 @@ import (
 // functions must never treat an error wrapping ErrMalformed as transient.
 var ErrMalformed = errors.New("transport: malformed payload")
 
+// ErrLineageMissing marks a RecvLineage whose round holds messages without
+// their lineage: the records that did arrive are returned with it, and the
+// receiver stores the uncovered triples as asserted. It is a degradation to
+// journal, not a failure.
+var ErrLineageMissing = errors.New("lineage sidecar missing; batch degraded to asserted tuples")
+
 // Transport moves triples between workers of one parallel run.
 type Transport interface {
 	// Name identifies the transport in reports ("mem", "file", "tcp").
@@ -66,6 +72,24 @@ type Transport interface {
 type LineageCarrier interface {
 	SendLineage(ctx context.Context, round, from, to int, lins []rdf.Lineage) error
 	RecvLineage(ctx context.Context, round, to int) ([]rdf.Lineage, error)
+}
+
+// LineageOf returns the LineageCarrier that ships tr's lineage, looking
+// through wrappers (such as fault injection) that expose the transport they
+// wrap with an Unwrap method; nil when none carries lineage. Lineage rides
+// beside the data path, so the wrappers' faults do not apply to it.
+func LineageOf(tr Transport) LineageCarrier {
+	for tr != nil {
+		if lc, ok := tr.(LineageCarrier); ok {
+			return lc
+		}
+		u, ok := tr.(interface{ Unwrap() Transport })
+		if !ok {
+			return nil
+		}
+		tr = u.Unwrap()
+	}
+	return nil
 }
 
 // LinkDropper is implemented by connection-oriented transports whose

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -243,5 +244,52 @@ func TestLargePayload(t *testing.T) {
 			t.Errorf("%s: %d of %d triples arrived", tr.Name(), len(got), len(big))
 		}
 		tr.Close()
+	}
+}
+
+// TestFileLineageSidecars: lineage sent beside a message comes back from
+// RecvLineage, an empty set still counts as a sidecar, and a message whose
+// sidecar is missing is reported through ErrLineageMissing with the records
+// that did arrive.
+func TestFileLineageSidecars(t *testing.T) {
+	dict, ts := newDictWithTriples(3)
+	f, err := NewFile(t.TempDir(), dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx := context.Background()
+	lin := rdf.Lineage{T: ts[0], Rule: "r", Round: 1, Prem: []rdf.Triple{ts[1]}}
+	if err := f.Send(ctx, 0, 1, 0, ts[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SendLineage(ctx, 0, 1, 0, []rdf.Lineage{lin}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Send(ctx, 0, 2, 0, ts[1:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SendLineage(ctx, 0, 2, 0, []rdf.Lineage{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.RecvLineage(ctx, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].T != ts[0] || got[0].Rule != "r" || len(got[0].Prem) != 1 {
+		t.Fatalf("lineage = %+v", got)
+	}
+	if lc := LineageOf(f); lc == nil {
+		t.Fatal("File does not carry lineage")
+	}
+
+	if err := f.Send(ctx, 1, 1, 0, ts[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.RecvLineage(ctx, 1, 0); !errors.Is(err, ErrLineageMissing) {
+		t.Fatalf("message without sidecar: err = %v, want ErrLineageMissing", err)
+	}
+	if got, err := f.Recv(ctx, 1, 0); err != nil || len(got) != 1 {
+		t.Fatalf("sidecar files leaked into Recv: %v, %v", got, err)
 	}
 }
